@@ -2,19 +2,21 @@
 
 The star coefficient keeps the digit product and feeds it negative upper
 digits.  The double-star coefficient collapses k to its digit sum and
-sums products of classic binomials over compositions.  Neither agrees
-with the coefficient extracted from f_{n,b}; both are defined here for
-negative first entry only, which is the only regime where they differ.
+sums products of classic binomials over compositions of it; by
+Chu-Vandermonde that sum is the single classic coefficient
+classic_binom(S_b(n), S_b(k)), because the product over digits of
+(1+y)^{n_l} is (1+y)^{S_b(n)}.  Neither agrees with the coefficient
+extracted from f_{n,b}; both are defined here for negative first entry
+only, which is the only regime where they differ.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
-from typing import Iterator
 
+from .bary import _digit_product
 from .classic import classic_binom
-from .digits import digit_sum, pair_length, to_digits
+from .digits import digit_sum
 
 
 class AltVariant(Enum):
@@ -29,30 +31,18 @@ def star_binom(n: int, k: int, b: int) -> int:
     length, so a negative k contributes nonpositive digits.
     """
     _check_args(n, b)
-    N = pair_length(n, k, b)
-    nd = to_digits(n, b, N).digits
-    kd = to_digits(k, b, N).digits
-    prod = 1
-    for nl, kl in zip(nd, kd):
-        prod *= classic_binom(nl, kl)
-        if not prod:
-            return 0
-    return prod
+    return _digit_product(n, k, b)
 
 
 def dstar_binom(n: int, k: int, b: int) -> int:
-    """Digit-sum coefficient: sums classic-binomial products over
-    compositions of the digit sum of |k|, n < 0.
+    """Digit-sum coefficient classic_binom(S_b(n), S_b(k)), n < 0.
 
-    For k >= 0 (k = 0 included) the parts j_l are unrestricted
-    nonnegative; for k < 0 each part must be at least |n_l| and the
-    factor is classic_binom(n_l, -j_l).  The value depends on k only
-    through its digit sum, which is what the cache keys on.
+    This is the sum, over compositions (j_l) of the digit sum of |k|, of
+    the products of classic_binom(n_l, j_l) for k >= 0 (k = 0 included),
+    and of classic_binom(n_l, -j_l) with each j_l >= |n_l| for k < 0.
     """
     _check_args(n, b)
-    if k >= 0:
-        return _dstar_sum(n, b, digit_sum(k, b), False)
-    return _dstar_sum(n, b, -digit_sum(k, b), True)
+    return classic_binom(digit_sum(n, b), digit_sum(k, b))
 
 
 def _check_args(n: int, b: int) -> None:
@@ -60,38 +50,3 @@ def _check_args(n: int, b: int) -> None:
         raise ValueError("star variants are defined for n < 0 only")
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if total < 0:
-        return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-@lru_cache(maxsize=None)
-def _dstar_sum(n: int, b: int, total: int, shifted: bool) -> int:
-    # zero digits force j_l = 0 with factor 1, so only nonzero digits
-    # take part; in the shifted branch each part starts at |d| and is
-    # re-indexed from there
-    digits = [d for d in to_digits(n, b).digits if d]
-    if shifted:
-        total += digit_sum(n, b)  # remove sum of the |d| offsets
-    acc = 0
-    for tup in compositions(total, len(digits)):
-        term = 1
-        for d, j in zip(digits, tup):
-            term *= classic_binom(d, d - j) if shifted else classic_binom(d, j)
-            if not term:
-                break
-        acc += term
-    return acc

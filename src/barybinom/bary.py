@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
 
 from .classic import classic_binom
-from .digits import pair_length, to_digits
+from .digits import to_digits
 from .series import ExpansionPoint, coefficient, gf_expand
 
 
@@ -63,15 +62,23 @@ def evaluate(q: BaryQuery) -> int:
 
 
 def _digit_product(n: int, k: int, b: int) -> int:
-    # polynomial support: no negative powers, degree n
-    if k < 0 or k > n:
-        return 0
-    N = pair_length(n, k, b)
-    nd = to_digits(n, b, N).digits
-    kd = to_digits(k, b, N).digits
+    """Product of classic_binom(n_l, k_l) over the sign-consistent digits
+    of n and k, both zero-padded to the longer of the two expansions.
+
+    For n >= 0 this is binom(n, k)_b; for n < 0 it is the star
+    coefficient.  Zero digits on both sides contribute a factor 1, so
+    running until both n and k are exhausted is the shared padding.
+    """
+    if n >= 0 and not 0 <= k <= n:
+        return 0  # polynomial support: no negative powers, degree n
+    sn = -1 if n < 0 else 1
+    sk = -1 if k < 0 else 1
+    m, j = abs(n), abs(k)
     prod = 1
-    for nl, kl in zip(nd, kd):
-        prod *= comb(nl, kl) if kl <= nl else 0
+    while m or j:
+        m, nl = divmod(m, b)
+        j, kl = divmod(j, b)
+        prod *= classic_binom(sn * nl, sk * kl)
         if not prod:
             return 0
     return prod

@@ -2,12 +2,14 @@
 defect tables, partition sets, and the identity sweeps.
 
 Exit codes: 0 success (all sweeps PASS), 1 an identity sweep produced a
-counterexample, 2 usage error.  Data goes to stdout, diagnostics to
-stderr.  Everything is exact integer arithmetic serialized as decimal
-strings; identical invocations produce byte-identical output.  The
-environment variable BARYBINOM_WORKERS (default 1) fans verify sweeps
-out across processes, one slice per base or prime; reports merge in a
-fixed order, so the output does not depend on scheduling.
+counterexample, 2 usage error, which includes a --prime that is not
+prime and bounds under which a sweep checks no case.  Data goes to
+stdout, diagnostics to stderr.  Everything is exact integer arithmetic
+serialized as decimal strings; identical invocations produce
+byte-identical output.  The environment variable BARYBINOM_WORKERS
+(default 1) fans verify sweeps out across processes, one slice per base
+or prime; reports merge in a fixed order, so the output does not depend
+on scheduling.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from math import isqrt
 
 from . import identities
 from .altdefs import dstar_binom, star_binom
@@ -170,6 +173,8 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.prime is not None and not _is_prime(args.prime):
+        raise ValueError(f"--prime must be a prime, got {args.prime}")
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
     workers = int(os.environ.get("BARYBINOM_WORKERS", "1"))
     results: list[tuple[str, IdentityReport]] = []
@@ -214,7 +219,15 @@ def _run_suite(name: str, args, workers: int) -> IdentityReport:
             reports = list(pool.map(_run_slice, tasks))
     else:
         reports = [_run_slice(t) for t in tasks]
-    return merge_reports(reports)
+    report = merge_reports(reports)
+    if not report.checked_count:
+        # a sweep that checked nothing cannot vouch for the identity
+        raise ValueError(f"suite {name} checks no cases with these bounds")
+    return report
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _run_slice(task) -> IdentityReport:

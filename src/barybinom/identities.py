@@ -106,13 +106,8 @@ def carry_free(n: int, m: int, b: int) -> bool:
         raise ValueError("carry_free is defined for positive n and m")
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    nd = to_digits(n, b)
-    md = to_digits(m, b)
-    N = max(len(nd), len(md))
-    return all(
-        dn + dm <= b - 1
-        for dn, dm in zip(to_digits(n, b, N).digits, to_digits(m, b, N).digits)
-    )
+    # each carry lowers the digit sum of n + m by b - 1
+    return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
 def _fn(n: int, b: int, span: int) -> Callable[[int], int]:

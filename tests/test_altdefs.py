@@ -3,9 +3,51 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from barybinom.altdefs import AltVariant, compositions, dstar_binom, star_binom
+from barybinom.altdefs import AltVariant, dstar_binom, star_binom
 from barybinom.bary import bary_binom
-from barybinom.digits import digit_sum
+from barybinom.classic import classic_binom
+from barybinom.digits import digit_sum, to_digits
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if total < 0:
+        return
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def dstar_composition_sum(n, k, b):
+    """The double-star definition written as an explicit composition sum.
+
+    Kept deliberately naive: the parts j_l run over compositions of the
+    digit sum of |k| across the nonzero digits n_l of n; for k >= 0 each
+    term is the product of classic_binom(n_l, j_l), for k < 0 only parts
+    with j_l >= |n_l| count and the factor is classic_binom(n_l, -j_l).
+    The closed form in dstar_binom must agree with this.
+    """
+    assert n < 0
+    digits = [d for d in to_digits(n, b).digits if d]
+    total = 0
+    for parts in compositions(abs(digit_sum(k, b)), len(digits)):
+        term = 1
+        for d, j in zip(digits, parts):
+            if k >= 0:
+                term *= classic_binom(d, j)
+            elif j >= -d:
+                term *= classic_binom(d, -j)
+            else:
+                term = 0
+        total += term
+    return total
 
 
 def test_worked_star_values():
@@ -50,6 +92,13 @@ def test_nonnegative_n_is_rejected():
 def test_variant_values_are_the_cli_spellings():
     assert AltVariant("star") is AltVariant.STAR
     assert AltVariant("dstar") is AltVariant.DOUBLE_STAR
+
+
+def test_double_star_matches_the_literal_composition_sum():
+    for b in (2, 3, 4, 5):
+        for n in range(-40, 0):
+            for k in range(-60, 61):
+                assert dstar_binom(n, k, b) == dstar_composition_sum(n, k, b), (n, k, b)
 
 
 def test_double_star_depends_on_k_only_through_its_digit_sum():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from barybinom.altdefs import star_binom
 from barybinom.bary import (
     BaryQuery,
     Method,
@@ -42,6 +43,29 @@ def partition_sum_literal(n, k, b):
             prod *= classic_binom(-d, -j)
         total += prod
     return total
+
+
+def digit_product_literal(n, k, b):
+    """The digit product written over explicitly padded expansions.
+
+    Kept deliberately naive: pad both sign-consistent expansions to the
+    longer length, multiply classic_binom digit by digit, no early exit.
+    For n >= 0 this is binom(n, k)_b, for n < 0 the star coefficient.
+    """
+    N = max(len(to_digits(n, b)), len(to_digits(k, b)))
+    prod = 1
+    for nl, kl in zip(to_digits(n, b, N).digits, to_digits(k, b, N).digits):
+        prod *= classic_binom(nl, kl)
+    return prod
+
+
+def test_digit_product_matches_the_literal_padded_product():
+    # k runs past n in both magnitude and digit count, on both signs
+    for b in (2, 3, 4, 5):
+        for n in range(-40, 41):
+            fn = bary_binom if n >= 0 else star_binom
+            for k in range(-130, 131):
+                assert fn(n, k, b) == digit_product_literal(n, k, b), (n, k, b)
 
 
 def test_worked_values_agree_across_methods():

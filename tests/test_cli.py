@@ -194,6 +194,26 @@ def test_usage_errors_exit_with_two(capsys):
         assert err.startswith("error: "), argv
 
 
+def test_verify_rejects_empty_sweeps_and_composite_primes(capsys):
+    bad = [
+        ("verify", "--suite", "symmetry", "--nmax", "-5"),
+        ("verify", "--suite", "aggregation", "--nmax", "0"),
+        ("verify", "--suite", "all", "--nmax", "-1"),
+        ("verify", "--suite", "lucas", "--prime", "4"),
+        ("verify", "--suite", "lucas", "--prime", "1"),
+        ("verify", "--suite", "lucas", "--prime", "-7"),
+    ]
+    for argv in bad:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+    code, out, _ = run(
+        capsys, "verify", "--suite", "lucas", "--prime", "2", "--nmax", "2", "--kmax", "2"
+    )
+    assert code == 0
+    assert out.splitlines()[1].endswith("\tPASS")
+
+
 def test_unknown_suite_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "no-such-suite"])

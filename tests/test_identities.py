@@ -47,12 +47,26 @@ def test_small_sweep_passes(sweep):
     assert r.passed, r.failures[:3]
 
 
+def carry_free_literal(n, m, b):
+    """Digit-by-digit schoolbook addition: no column reaches b."""
+    while n or m:
+        n, dn = divmod(n, b)
+        m, dm = divmod(m, b)
+        if dn + dm >= b:
+            return False
+    return True
+
+
 def test_carry_free_examples():
     assert carry_free(1, 2, 4)
     assert not carry_free(3, 1, 4)
     assert carry_free(5, 10, 4)
     assert not carry_free(1, 1, 2)
     assert carry_free(21, 42, 4)
+    for b in range(2, 8):
+        for n in range(1, 101):
+            for m in range(1, 101):
+                assert carry_free(n, m, b) == carry_free_literal(n, m, b), (n, m, b)
 
 
 def test_carry_free_rejects_bad_arguments():
