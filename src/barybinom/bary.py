@@ -1,10 +1,16 @@
 """The b-ary binomial coefficient binom(n, k)_b for all integer n, k.
 
-Two independent algorithms back the negative-n case: coefficient
-extraction from the truncated generating-function expansion (series
-route) and the restricted-partition sum over closed-form classic
+Auto dispatch uses the digit product for n >= 0 and, for n < 0, the
+shift-subtract kernel: one table of [x^r] 1/f_{|n|}(x), built in
+O(r * S_b(|n|)) steps, that serves both expansion points.  Two
+independent algorithms stay as oracles for the negative-n case:
+coefficient extraction from the truncated generating-function expansion
+(series route) and the restricted-partition sum over closed-form classic
 binomials (partition route).  They share nothing past the digit
 expansion, which is what makes the cross-oracle sweeps meaningful.
+
+Every table and expansion is cached in an lru_cache of CACHE_SIZE
+entries, and none may need more than MAX_TERMS terms.
 """
 
 from __future__ import annotations
@@ -15,7 +21,11 @@ from functools import lru_cache
 
 from .classic import classic_binom
 from .digits import to_digits
-from .series import ExpansionPoint, coefficient, gf_expand
+from .series import MAX_TERMS, ExpansionPoint, coefficient, gf_expand
+
+# entries per table or expansion cache: sweeps and row scans reuse a
+# table in runs per (n, b), not across the whole process
+CACHE_SIZE = 32
 
 
 class Method(Enum):
@@ -41,13 +51,19 @@ def bary_binom(n: int, k: int, base: int, method: Method = Method.AUTO) -> int:
     the coefficient of x^k in the expansion of f_{n,b} at zero (k >= 0)
     or at infinity (k < 0), with the band n < k < 0 identically zero.
 
-    Auto dispatch uses the digit product for n >= 0 and the partition
-    sum for n < 0; Series stays available as an independent cross-check.
+    Auto dispatch uses the digit product for n >= 0 and the
+    shift-subtract table for n < 0; Partition and Series stay available
+    as independent cross-checks.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if method is Method.AUTO:
-        method = Method.DIGIT_PRODUCT if n >= 0 else Method.PARTITION
+        if n >= 0:
+            return _digit_product(n, k, base)
+        # f_|n| is palindromic, so the infinity side reads the same table:
+        # binom(n, n - r)_b = [x^r] 1/f_|n|; the band n < k < 0 is 0
+        r = k if k >= 0 else n - k
+        return shift_subtract_table(n, base, r)[r] if r >= 0 else 0
     if method is Method.DIGIT_PRODUCT:
         if n < 0:
             raise ValueError("digit-product method applies to n >= 0 only")
@@ -89,6 +105,45 @@ def _bucket(need: int) -> int:
     return max(64, -(-need // 64) * 64)
 
 
+def _table_limit(limit: int) -> int:
+    # entries 0..limit need limit + 1 terms; refuse before allocating
+    if limit >= MAX_TERMS:
+        raise ValueError(f"a table of {limit + 1} terms exceeds the limit of {MAX_TERMS}")
+    return _bucket(limit)
+
+
+def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
+    """Entries [x^r] 1/f_{|n|}(x) for n < 0 and 0 <= r <= limit.
+
+    Entry r is binom(n, r)_base on the zero side and, since f_{|n|} is
+    palindromic of degree |n|, binom(n, n - r)_base on the infinity
+    side.  The returned tuple covers at least limit + 1 entries; it is
+    rounded up so nearby requests share one cached table.
+    """
+    if n >= 0:
+        raise ValueError("shift-subtract tables are defined for n < 0 only")
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    return _shift_subtract(-n, base, _table_limit(limit))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _shift_subtract(m: int, base: int, limit: int) -> tuple[int, ...]:
+    # Start from 1 and divide by (1 + x^step) once per unit of each digit
+    # of m: one ascending in-place pass c[r] -= c[r - step] per division.
+    # A factor with step > limit leaves entries 0..limit unchanged.
+    c = [0] * (limit + 1)
+    c[0] = 1
+    step = 1
+    while m and step <= limit:
+        m, d = divmod(m, base)
+        for _ in range(d):
+            for r in range(step, limit + 1):
+                c[r] -= c[r - step]
+        step *= base
+    return tuple(c)
+
+
 def partition_value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ...]:
     """Partition-sum values of binom(n, .)_base for n < 0, in bulk.
 
@@ -98,15 +153,15 @@ def partition_value_table(n: int, base: int, negative: bool, limit: int) -> tupl
     The returned tuple covers at least limit + 1 entries; it is rounded
     up so nearby requests share one cached table.
 
-    Identity sweeps read these tables directly; single queries go
-    through bary_binom_partition.
+    The symmetry and cross-oracle sweeps read these tables as the
+    independent oracle; single queries go through bary_binom_partition.
     """
     if n >= 0:
         raise ValueError("partition tables are defined for n < 0 only")
-    return _value_table(n, base, negative, _bucket(limit))
+    return _value_table(n, base, negative, _table_limit(limit))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ...]:
     # The sum over partition tuples is accumulated level by level: after
     # processing digit position l, entry r holds the sum over all partial
@@ -159,7 +214,7 @@ def bary_binom_partition(n: int, k: int, b: int) -> int:
     return partition_value_table(n, b, True, r)[r]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _gf_cached(n: int, b: int, point: ExpansionPoint, order: int):
     return gf_expand(n, b, point, order)
 
@@ -169,7 +224,8 @@ def bary_binom_series(n: int, k: int, b: int) -> int:
 
     The order |n| + |k| + 2 always covers the requested exponent at
     either expansion point; it is rounded up so that a sweep over k
-    reuses a handful of cached expansions.
+    reuses a handful of cached expansions.  MAX_TERMS is a multiple of
+    the rounding, so an order within the limit stays within it.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")

@@ -2,14 +2,21 @@
 defect tables, partition sets, and the identity sweeps.
 
 Exit codes: 0 success (all sweeps PASS), 1 an identity sweep produced a
-counterexample, 2 usage error, which includes a --prime that is not
-prime and bounds under which a sweep checks no case.  Data goes to
-stdout, diagnostics to stderr.  Everything is exact integer arithmetic
+counterexample, 2 usage error.  Usage errors include a --prime that is
+not prime, bounds under which a sweep checks no case, a verify option
+that no selected suite takes (--kmax for aggregation, --base for lucas,
+--prime for a base-swept suite; --suite all applies each option to the
+suites that take it), and a request past the size limit: a binom value
+for n < 0 whose table or expansion would need more than MAX_TERMS =
+10**6 terms, or an expand order above it.  Data goes to stdout,
+diagnostics to stderr.  Everything is exact integer arithmetic
 serialized as decimal strings; identical invocations produce
 byte-identical output.  The environment variable BARYBINOM_WORKERS
 (default 1) fans verify sweeps out across processes, one slice per base
-or prime; reports merge in a fixed order, so the output does not depend
-on scheduling.
+or prime, with the pool clamped to the number of slices; reports merge
+in a fixed order, so the output does not depend on scheduling.  The
+value tables and expansions behind the coefficients are cached in
+bounded lru_caches of 32 entries each.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .partitions import enumerate_partitions, enumerate_restricted
 from .series import ExpansionPoint, gf_expand
 
 MAX_WITNESS_LINES = 20
+
+# verify option -> the suite axis it restricts, or the bound it sets
+_AXES = {"base": "bases", "prime": "primes"}
+_BOUNDS = {"nmax": "n_max", "kmax": "k_max"}
 
 
 def main(argv=None) -> int:
@@ -176,6 +187,10 @@ def cmd_verify(args) -> int:
     if args.prime is not None and not _is_prime(args.prime):
         raise ValueError(f"--prime must be a prime, got {args.prime}")
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
+    taken = set().union(*(_options(identities.SUITES[name]) for name in names))
+    for option in (*_AXES, *_BOUNDS):
+        if getattr(args, option) is not None and option not in taken:
+            raise ValueError(f"--{option} is not taken by suite {args.suite}")
     workers = int(os.environ.get("BARYBINOM_WORKERS", "1"))
     results: list[tuple[str, IdentityReport]] = []
     for name in names:
@@ -200,22 +215,28 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for _, r in results) else 1
 
 
+def _options(spec) -> set[str]:
+    """The verify options a suite takes: its axis and its bounds."""
+    params = inspect.signature(spec.func).parameters
+    options = {o for o, axis in _AXES.items() if axis == spec.axis}
+    return options | {o for o, bound in _BOUNDS.items() if bound in params}
+
+
 def _run_suite(name: str, args, workers: int) -> IdentityReport:
     spec = identities.SUITES[name]
     values = spec.axis_values
-    if spec.axis == "bases" and args.base is not None:
-        values = (args.base,)
-    if spec.axis == "primes" and args.prime is not None:
-        values = (args.prime,)
     extra = {}
-    params = inspect.signature(spec.func).parameters
-    if args.nmax is not None and "n_max" in params:
-        extra["n_max"] = args.nmax
-    if args.kmax is not None and "k_max" in params:
-        extra["k_max"] = args.kmax
+    for option in _options(spec):
+        value = getattr(args, option)
+        if value is None:
+            continue
+        if option in _AXES:
+            values = (value,)
+        else:
+            extra[_BOUNDS[option]] = value
     tasks = [(name, spec.axis, v, extra) for v in values]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             reports = list(pool.map(_run_slice, tasks))
     else:
         reports = [_run_slice(t) for t in tasks]

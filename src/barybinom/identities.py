@@ -13,7 +13,12 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .altdefs import dstar_binom, star_binom
-from .bary import bary_binom, bary_binom_series, partition_value_table
+from .bary import (
+    bary_binom,
+    bary_binom_series,
+    partition_value_table,
+    shift_subtract_table,
+)
 from .classic import classic_binom
 from .digits import digit_sum, to_digits
 
@@ -110,13 +115,24 @@ def carry_free(n: int, m: int, b: int) -> bool:
     return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
-def _fn(n: int, b: int, span: int) -> Callable[[int], int]:
-    # point lookup binom(n, .)_b, table-backed for n < 0; span must
-    # bound |k| over every call the caller will make
+def _kernel_sides(n: int, b: int, span: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # f_|n| is palindromic: one table serves both expansion points
+    table = shift_subtract_table(n, b, span)
+    return table, table
+
+
+def _partition_sides(n: int, b: int, span: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return partition_value_table(n, b, False, span), partition_value_table(n, b, True, span)
+
+
+def _fn(n: int, b: int, span: int, sides=_kernel_sides) -> Callable[[int], int]:
+    # point lookup binom(n, .)_b, table-backed for n < 0; sides gives the
+    # zero-side table and the infinity-side table indexed from the start
+    # of the support; span must bound |k| over every call the caller
+    # will make
     if n >= 0:
         return lambda k, n=n, b=b: bary_binom(n, k, b)
-    zero = partition_value_table(n, b, False, span)
-    inf = partition_value_table(n, b, True, span)
+    zero, inf = sides(n, b, span)
     size = -n
 
     def val(k: int) -> int:
@@ -145,15 +161,21 @@ def _dstar0(n: int, k: int, b: int) -> int:
 def check_symmetry(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 60, k_max: int = 120
 ) -> IdentityReport:
-    """binom(n, k)_b = binom(n, n - k)_b for every integer pair."""
+    """binom(n, k)_b = binom(n, n - k)_b for every integer pair.
+
+    For n < 0 the left side reads the shift-subtract table and the right
+    side the partition sum, so the kernel's palindrome is never compared
+    with itself.
+    """
     failures: list[Witness] = []
     checked = 0
     for b in bases:
         span = n_max + k_max
         for n in range(-n_max, n_max + 1):
             val = _fn(n, b, span)
+            mirror = _fn(n, b, span, _partition_sides)
             for k in range(-k_max, k_max + 1):
-                lhs, rhs = val(k), val(n - k)
+                lhs, rhs = val(k), mirror(n - k)
                 checked += 1
                 if lhs != rhs:
                     failures.append(Witness((b, n, k), lhs, rhs))
@@ -316,20 +338,19 @@ def check_chu_negative(
                 if not carry_free(n, m, b):
                     skipped += 1
                     continue
-                a0 = partition_value_table(-n, b, False, k_max)
-                b0 = partition_value_table(-m, b, False, k_max)
-                s0 = partition_value_table(-(n + m), b, False, k_max)
+                # each table serves both sides: its entry r is binom(-n, r)
+                # and binom(-n, -n - r), since f_n is palindromic
+                t_n = shift_subtract_table(-n, b, k_max)
+                t_m = shift_subtract_table(-m, b, k_max)
+                t_nm = shift_subtract_table(-(n + m), b, k_max)
                 for k in range(m, k_max + 1):
-                    rhs = sum(a0[k - j] * b0[j] for j in range(k + 1))
+                    rhs = sum(t_n[k - j] * t_m[j] for j in range(k + 1))
                     checked += 1
-                    if s0[k] != rhs:
-                        failures.append(Witness((b, n, m, k, "zero"), s0[k], rhs))
-                ai = partition_value_table(-n, b, True, k_max)
-                bi = partition_value_table(-m, b, True, k_max)
-                si = partition_value_table(-(n + m), b, True, k_max)
+                    if t_nm[k] != rhs:
+                        failures.append(Witness((b, n, m, k, "zero"), t_nm[k], rhs))
                 for k in range(n + m, k_max + 1):
-                    rhs = sum(ai[k - j - n] * bi[j - m] for j in range(m, k - n + 1))
-                    lhs = si[k - n - m]
+                    rhs = sum(t_n[k - j - n] * t_m[j - m] for j in range(m, k - n + 1))
+                    lhs = t_nm[k - n - m]
                     checked += 1
                     if lhs != rhs:
                         failures.append(Witness((b, n, m, -k, "infinity"), lhs, rhs))
@@ -368,31 +389,28 @@ def check_chu_mixed(
                 if not carry_free(m, n - m, b):
                     skipped += 1
                     continue
-                b0 = partition_value_table(-m, b, False, n)
-                bi = partition_value_table(-m, b, True, n)
+                t_m = shift_subtract_table(-m, b, n)  # both sides, as in chu-neg
                 d_m = [bary_binom(m, j, b) for j in range(m + 1)]
                 for k in range(n - m + 1):
                     lhs = bary_binom(n - m, k, b)
-                    j_form = sum(d_n[k - j] * b0[j] for j in range(k + 1))
-                    s_form = sum(d_n[s] * bi[s - k - m] for s in range(k + m, n + 1))
+                    j_form = sum(d_n[k - j] * t_m[j] for j in range(k + 1))
+                    s_form = sum(d_n[s] * t_m[s - k - m] for s in range(k + m, n + 1))
                     checked += 2
                     if lhs != j_form:
                         failures.append(Witness((b, n, m, k, "pos-j"), lhs, j_form))
                     if lhs != s_form:
                         failures.append(Witness((b, n, m, k, "pos-s"), lhs, s_form))
-                f0 = partition_value_table(-(n - m), b, False, k_max)
-                a0 = partition_value_table(-n, b, False, k_max)
+                t_nm = shift_subtract_table(-(n - m), b, k_max)
+                t_n = shift_subtract_table(-n, b, k_max)
                 for k in range(k_max + 1):
-                    rhs = sum(a0[k - j] * d_m[j] for j in range(min(k, m) + 1))
+                    rhs = sum(t_n[k - j] * d_m[j] for j in range(min(k, m) + 1))
                     checked += 1
-                    if f0[k] != rhs:
-                        failures.append(Witness((b, n, m, k, "neg-zero"), f0[k], rhs))
-                fi = partition_value_table(-(n - m), b, True, k_max)
-                ai = partition_value_table(-n, b, True, k_max)
+                    if t_nm[k] != rhs:
+                        failures.append(Witness((b, n, m, k, "neg-zero"), t_nm[k], rhs))
                 for k in range(n - m, n - m + k_max + 1):
-                    lhs = fi[k - (n - m)]
+                    lhs = t_nm[k - (n - m)]
                     rhs = sum(
-                        ai[k + j - n] * d_m[j] for j in range(max(0, n - k), m + 1)
+                        t_n[k + j - n] * d_m[j] for j in range(max(0, n - k), m + 1)
                     )
                     checked += 1
                     if lhs != rhs:
@@ -530,7 +548,7 @@ def check_cross_oracle(
     checked = 0
     for b in bases:
         for n in range(-n_max, 0):
-            val = _fn(n, b, k_max)
+            val = _fn(n, b, k_max, _partition_sides)
             for k in range(-k_max, k_max + 1):
                 lhs = bary_binom_series(n, k, b)
                 rhs = val(k)

@@ -21,6 +21,12 @@ from enum import Enum
 
 from .digits import to_digits
 
+# The most terms one truncated expansion or one value table for n < 0
+# may need.  A request past it raises ValueError before anything is
+# allocated, where it would otherwise end in MemoryError.  A multiple of
+# 64, so bucketed sizes never round past it.
+MAX_TERMS = 10**6
+
 
 class ExpansionPoint(Enum):
     AT_ZERO = "zero"
@@ -149,6 +155,8 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
         raise ValueError(f"base must be >= 2, got {b}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if order > MAX_TERMS:
+        raise ValueError(f"order {order} exceeds the limit of {MAX_TERMS} terms")
     acc = one(point, order)
     for l, d in enumerate(to_digits(n, b).digits):
         if d == 0:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from barybinom.altdefs import star_binom
+from barybinom import bary
 from barybinom.bary import (
     BaryQuery,
     Method,
@@ -10,10 +11,12 @@ from barybinom.bary import (
     bary_binom_series,
     evaluate,
     partition_value_table,
+    shift_subtract_table,
 )
 from barybinom.classic import classic_binom
 from barybinom.digits import to_digits
 from barybinom.partitions import enumerate_partitions, enumerate_restricted
+from barybinom.series import MAX_TERMS, ExpansionPoint, gf_expand
 
 NEG_METHODS = (Method.AUTO, Method.SERIES, Method.PARTITION)
 
@@ -110,6 +113,53 @@ def test_series_route_matches_partition_route():
                 assert bary_binom_series(n, k, b) == bary_binom_partition(n, k, b)
 
 
+def test_auto_matches_both_oracles_on_both_sides_and_in_the_band():
+    # AUTO reads the shift-subtract table; k runs past n on both sides,
+    # so the infinity side, the band n < k < 0 and the zero side all show
+    for b in range(2, 8):
+        for n in range(-60, 0):
+            for k in range(-150, 151):
+                want = bary_binom(n, k, b, Method.PARTITION)
+                assert bary_binom(n, k, b) == want, (n, k, b)
+                assert bary_binom(n, k, b, Method.SERIES) == want, (n, k, b)
+
+
+def test_auto_matches_series_at_large_k():
+    for n, k, b in ((-6, 16000, 4), (-37, 20000, 3)):
+        assert bary_binom(n, k, b) == bary_binom(n, k, b, Method.SERIES)
+        assert bary_binom(n, n - k, b) == bary_binom(n, n - k, b, Method.SERIES)
+
+
+@given(st.integers(2, 9), st.integers(-300, -1), st.integers(-700, 700))
+@settings(max_examples=200, deadline=None)
+def test_auto_matches_the_partition_sum(b, n, k):
+    assert bary_binom(n, k, b) == bary_binom_partition(n, k, b)
+
+
+def test_requests_past_the_size_limit_raise_before_allocating():
+    # each of these would ask for about 10**12 entries if it got through
+    k = 10**12
+    for method in NEG_METHODS:
+        with pytest.raises(ValueError, match="limit"):
+            bary_binom(-6, k, 4, method)
+        with pytest.raises(ValueError, match="limit"):
+            bary_binom(-6, -k, 4, method)
+    for point in ExpansionPoint:
+        with pytest.raises(ValueError, match="limit"):
+            gf_expand(-6, 4, point, k)
+    with pytest.raises(ValueError, match="limit"):
+        shift_subtract_table(-6, 4, MAX_TERMS)
+    with pytest.raises(ValueError, match="limit"):
+        partition_value_table(-6, 4, True, MAX_TERMS)
+    assert len(shift_subtract_table(-6, 4, MAX_TERMS - 1)) <= MAX_TERMS + 1
+    assert gf_expand(3, 2, ExpansionPoint.AT_ZERO, MAX_TERMS).order == MAX_TERMS
+
+
+def test_caches_are_bounded():
+    for cached in (bary._shift_subtract, bary._value_table, bary._gf_cached):
+        assert cached.cache_info().maxsize == bary.CACHE_SIZE
+
+
 def test_value_tables_index_both_sides_of_the_support():
     zero_side = partition_value_table(-6, 4, False, 10)
     inf_side = partition_value_table(-6, 4, True, 10)
@@ -132,6 +182,10 @@ def test_dispatch_rejects_mismatched_methods():
         bary_binom_series(-5, 2, 0)
     with pytest.raises(ValueError):
         partition_value_table(5, 4, False, 10)
+    with pytest.raises(ValueError):
+        shift_subtract_table(5, 4, 10)
+    with pytest.raises(ValueError):
+        shift_subtract_table(-5, 1, 10)
 
 
 def test_query_evaluation_is_plain_dispatch():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from barybinom import identities
+from barybinom import cli, identities
 from barybinom.cli import MAX_WITNESS_LINES, main
 from barybinom.identities import IdentityReport, SuiteSpec, Witness
 
@@ -187,6 +187,10 @@ def test_usage_errors_exit_with_two(capsys):
         ("expand", "--base", "1", "--n", "3", "--at", "zero", "--order", "4"),
         ("partitions", "--base", "4", "--k", "7"),
         ("partitions", "--base", "4", "--k", "7", "--restrict", "-2"),
+        # past the size limit: refused before any table is allocated
+        ("binom", "--base", "4", "--n", "-6", "--k", "1000000000000"),
+        ("binom", "--base", "4", "--n", "-6", "--k", "-1000000000000", "--method", "series"),
+        ("expand", "--base", "4", "--n", "-6", "--at", "zero", "--order", "1000000000000"),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
@@ -202,6 +206,10 @@ def test_verify_rejects_empty_sweeps_and_composite_primes(capsys):
         ("verify", "--suite", "lucas", "--prime", "4"),
         ("verify", "--suite", "lucas", "--prime", "1"),
         ("verify", "--suite", "lucas", "--prime", "-7"),
+        # options that no selected suite takes
+        ("verify", "--suite", "aggregation", "--kmax", "5"),
+        ("verify", "--suite", "lucas", "--base", "3"),
+        ("verify", "--suite", "symmetry", "--prime", "3"),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)
@@ -212,6 +220,40 @@ def test_verify_rejects_empty_sweeps_and_composite_primes(capsys):
     )
     assert code == 0
     assert out.splitlines()[1].endswith("\tPASS")
+    # --suite all applies each option to the suites that take it
+    code, out, _ = run(
+        capsys, "verify", "--suite", "all", "--base", "2", "--prime", "2",
+        "--nmax", "4", "--kmax", "4",
+    )
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert len(rows) == len(identities.SUITES)
+    assert {row[1].split(",")[0] for row in rows} <= {"b in 2", "p in 2"}
+
+
+def test_worker_pool_is_clamped_to_the_number_of_slices(capsys, monkeypatch):
+    # a stand-in executor records the pool size and runs slices in order,
+    # so no process is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("BARYBINOM_WORKERS", "64")
+    code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--nmax", "3", "--kmax", "3")
+    assert code == 0
+    assert sizes == [len(identities.SUITES["symmetry"].axis_values)]
 
 
 def test_unknown_suite_is_an_argparse_error(capsys):

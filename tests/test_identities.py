@@ -1,5 +1,6 @@
 import pytest
 
+from barybinom import identities
 from barybinom.bary import bary_binom
 from barybinom.identities import (
     SUITES,
@@ -96,6 +97,27 @@ def test_chu_negative_counts_carrying_pairs_as_skipped():
     r = check_chu_negative(bases=(2,), n_max=6, k_max=12)
     assert r.passed
     assert r.skipped_count > 0
+
+
+def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monkeypatch):
+    # symmetry compares the kernel with the partition sum, so a fault in
+    # the kernel's palindrome cannot cancel against itself there
+    real = identities.shift_subtract_table
+
+    def faulty(n, b, limit):
+        table = real(n, b, limit)
+        if (n, b) == (-7, 3):
+            table = table[:5] + (table[5] + 1,) + table[6:]
+        return table
+
+    monkeypatch.setattr(identities, "shift_subtract_table", faulty)
+    for sweep in (
+        lambda: check_symmetry(bases=(3,), n_max=12, k_max=24),
+        lambda: check_pascal(bases=(3,), n_max=12, k_max=24),
+        lambda: check_chu_negative(bases=(3,), n_max=14, k_max=28),
+    ):
+        assert not sweep().passed
+    assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
 
 
 def test_table_generator_reproduces_the_frozen_matrix(table1):
