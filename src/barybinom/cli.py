@@ -16,7 +16,8 @@ byte-identical output.  The environment variable BARYBINOM_WORKERS
 or prime, with the pool clamped to the number of slices; reports merge
 in a fixed order, so the output does not depend on scheduling.  The
 value tables and expansions behind the coefficients are cached in
-bounded lru_caches of 32 entries each.
+bounded lru_caches of 32 entries each, and classic_binom in one of
+2**15 entries.
 """
 
 from __future__ import annotations

@@ -316,6 +316,68 @@ def check_prop33(
     )
 
 
+def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
+    """Coefficients 0..size-1 of the product of the polynomials a and b.
+
+    Kronecker substitution: each operand is packed into one int with a
+    slot of w bytes per coefficient, the two ints are multiplied
+    exactly, and the product's slots are read back.  No coefficient of
+    the product exceeds max|a| * max|b| * min(len(a), len(b)) in
+    magnitude, and w is the least width that holds that bound and every
+    operand coefficient as a signed value.  Every slot is offset by half
+    its range, so each holds a value in [0, 2^(8w)) and no borrow
+    crosses a slot boundary.
+    """
+    a, b = a[:size], b[:size]
+    if size <= 0 or not a or not b:
+        return [0] * max(size, 0)
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    bound = max(top_a * top_b * min(len(a), len(b)), top_a, top_b)
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    slot = bytes(w - 1) + b"\x80"  # half, little-endian
+
+    def pack(c: Sequence[int]) -> int:
+        packed = b"".join([(x + half).to_bytes(w, "little") for x in c])
+        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(c), "little")
+
+    product = pack(a) * pack(b) + int.from_bytes(slot * size, "little")
+    data = (product % (1 << (8 * w * size))).to_bytes(w * size, "little")
+    return [int.from_bytes(data[i : i + w], "little") - half for i in range(0, w * size, w)]
+
+
+class _Tables(dict):
+    """Sweep-local map from a size s to its table, built on first use.
+
+    A sweep makes one per base and drops it when the base ends, so it
+    holds at most one table per size and nothing outlives the base.
+    """
+
+    def __init__(self, build: Callable[[int], list[int]]):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, s: int) -> list[int]:
+        table = self[s] = self._build(s)
+        return table
+
+
+def _chu_tables(b: int, span: int, k_max: int) -> tuple[_Tables, _Tables]:
+    # kernel[s][r] = binom(-s, r)_b for r <= span; at_inf[s][r] is the
+    # partition sum for binom(-s, -s - r)_b, r <= k_max
+    kernel = _Tables(lambda s: list(shift_subtract_table(-s, b, span)[: span + 1]))
+    at_inf = _Tables(lambda s: list(partition_value_table(-s, b, True, k_max)[: k_max + 1]))
+    return kernel, at_inf
+
+
+def _mismatches(lhs: list[int], rhs: list[int], ks: range) -> list[int]:
+    # indices in ks where the two sides differ; comparing slices keeps
+    # the all-equal case out of the interpreter loop
+    if not ks or lhs[ks.start : ks.stop] == rhs[ks.start : ks.stop]:
+        return []
+    return [k for k in ks if lhs[k] != rhs[k]]
+
+
 def check_chu_negative(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 60, k_max: int = 120
 ) -> IdentityReport:
@@ -327,33 +389,33 @@ def check_chu_negative(
 
     n_max bounds n + m.  Pairs are swept unordered (the identity is
     symmetric in n and m); pairs that carry are counted as skipped.
-    The infinity-side sum only runs j in [m, k-n]: outside that window
-    one factor sits below its support and the term vanishes.
+
+    Both right-hand sides are one exact big-integer product of the
+    kernel tables of -n and -m (see _convolve): f_n is palindromic, so
+    the infinity-side sum is that product's coefficient r = k - n - m.
+    The zero side compares it with the kernel table of -(n+m), the
+    infinity side with the partition sum, so a kernel fault cannot
+    cancel against itself there.  Tables are built once per base:
+    at most n_max + 1 kernel and partition tables of at most
+    k_max + 1 entries, freed when the base ends.
     """
     failures: list[Witness] = []
     checked = skipped = 0
     for b in bases:
+        kernel, at_inf = _chu_tables(b, k_max, k_max)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
                 if not carry_free(n, m, b):
                     skipped += 1
                     continue
-                # each table serves both sides: its entry r is binom(-n, r)
-                # and binom(-n, -n - r), since f_n is palindromic
-                t_n = shift_subtract_table(-n, b, k_max)
-                t_m = shift_subtract_table(-m, b, k_max)
-                t_nm = shift_subtract_table(-(n + m), b, k_max)
-                for k in range(m, k_max + 1):
-                    rhs = sum(t_n[k - j] * t_m[j] for j in range(k + 1))
-                    checked += 1
-                    if t_nm[k] != rhs:
-                        failures.append(Witness((b, n, m, k, "zero"), t_nm[k], rhs))
-                for k in range(n + m, k_max + 1):
-                    rhs = sum(t_n[k - j - n] * t_m[j - m] for j in range(m, k - n + 1))
-                    lhs = t_nm[k - n - m]
-                    checked += 1
-                    if lhs != rhs:
-                        failures.append(Witness((b, n, m, -k, "infinity"), lhs, rhs))
+                conv = _convolve(kernel[n], kernel[m], k_max + 1)
+                zero, lhs = range(m, k_max + 1), kernel[n + m]
+                for k in _mismatches(lhs, conv, zero):
+                    failures.append(Witness((b, n, m, k, "zero"), lhs[k], conv[k]))
+                inf, lhs = range(k_max - n - m + 1), at_inf[n + m]
+                for r in _mismatches(lhs, conv, inf):
+                    failures.append(Witness((b, n, m, -(r + n + m), "infinity"), lhs[r], conv[r]))
+                checked += len(zero) + len(inf)
     return IdentityReport(
         "chu-neg",
         f"b in {_fmt(bases)}, carry-free pairs with n+m <= {n_max}, k <= {k_max}",
@@ -379,42 +441,47 @@ def check_chu_mixed(
     the polynomial f_m; truncating (3) at j = k would lose terms
     whenever k < m.  In the second form of (1), terms with s < k + m
     vanish (the factor falls in the band where every value is 0).
+
+    Each sum is one exact big-integer product (see _convolve).  The
+    second form of (1) is a correlation: the product of the reversed
+    row d_n with the kernel table of -m, read at n - m - k.  (3) is the
+    product of the kernel table of -n with the reversed row d_m, read
+    at r = k - (n - m), and its left side is the partition sum, so a
+    kernel fault cannot cancel against itself there.  Tables are built
+    once per base: at most n_max + 1 kernel tables, partition tables
+    and rows, each of at most max(n_max, k_max) + 1 entries, freed when
+    the base ends.
     """
     failures: list[Witness] = []
     checked = skipped = 0
     for b in bases:
+        kernel, at_inf = _chu_tables(b, max(n_max, k_max), k_max)
+        row = _Tables(lambda s, b=b: [bary_binom(s, i, b) for i in range(s + 1)])
         for n in range(2, n_max + 1):
-            d_n = [bary_binom(n, i, b) for i in range(n + 1)]
+            d_n = row[n]
             for m in range(1, n):
                 if not carry_free(m, n - m, b):
                     skipped += 1
                     continue
-                t_m = shift_subtract_table(-m, b, n)  # both sides, as in chu-neg
-                d_m = [bary_binom(m, j, b) for j in range(m + 1)]
-                for k in range(n - m + 1):
-                    lhs = bary_binom(n - m, k, b)
-                    j_form = sum(d_n[k - j] * t_m[j] for j in range(k + 1))
-                    s_form = sum(d_n[s] * t_m[s - k - m] for s in range(k + m, n + 1))
-                    checked += 2
-                    if lhs != j_form:
-                        failures.append(Witness((b, n, m, k, "pos-j"), lhs, j_form))
-                    if lhs != s_form:
-                        failures.append(Witness((b, n, m, k, "pos-s"), lhs, s_form))
-                t_nm = shift_subtract_table(-(n - m), b, k_max)
-                t_n = shift_subtract_table(-n, b, k_max)
-                for k in range(k_max + 1):
-                    rhs = sum(t_n[k - j] * d_m[j] for j in range(min(k, m) + 1))
-                    checked += 1
-                    if t_nm[k] != rhs:
-                        failures.append(Witness((b, n, m, k, "neg-zero"), t_nm[k], rhs))
-                for k in range(n - m, n - m + k_max + 1):
-                    lhs = t_nm[k - (n - m)]
-                    rhs = sum(
-                        t_n[k + j - n] * d_m[j] for j in range(max(0, n - k), m + 1)
-                    )
-                    checked += 1
-                    if lhs != rhs:
-                        failures.append(Witness((b, n, m, -k, "neg-inf"), lhs, rhs))
+                pos, lhs = range(n - m + 1), row[n - m]
+                j_form = _convolve(d_n, kernel[m], len(pos))
+                s_form = _convolve(d_n[::-1], kernel[m], len(pos))[::-1]
+                if lhs != j_form or lhs != s_form:
+                    for k in pos:
+                        if lhs[k] != j_form[k]:
+                            failures.append(Witness((b, n, m, k, "pos-j"), lhs[k], j_form[k]))
+                        if lhs[k] != s_form[k]:
+                            failures.append(Witness((b, n, m, k, "pos-s"), lhs[k], s_form[k]))
+                neg = range(k_max + 1)
+                conv = _convolve(kernel[n], row[m], len(neg))
+                lhs = kernel[n - m]
+                for k in _mismatches(lhs, conv, neg):
+                    failures.append(Witness((b, n, m, k, "neg-zero"), lhs[k], conv[k]))
+                conv = _convolve(kernel[n], row[m][::-1], len(neg))
+                lhs = at_inf[n - m]
+                for r in _mismatches(lhs, conv, neg):
+                    failures.append(Witness((b, n, m, -(r + n - m), "neg-inf"), lhs[r], conv[r]))
+                checked += 2 * len(pos) + 2 * len(neg)
     return IdentityReport(
         "chu-mixed",
         f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}",

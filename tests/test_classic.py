@@ -2,7 +2,7 @@ from math import comb
 
 from hypothesis import assume, given, strategies as st
 
-from barybinom.classic import classic_binom
+from barybinom.classic import CACHE_SIZE, classic_binom
 
 
 def _inverse_of_unit_poly(coeffs, order):
@@ -74,3 +74,9 @@ def test_pascal_notch_value():
     # regression pin for the excluded point above
     assert classic_binom(-1, 0) + classic_binom(-1, -1) == 2
     assert classic_binom(0, 0) == 1
+
+
+def test_cache_is_bounded():
+    maxsize = classic_binom.cache_info().maxsize
+    assert maxsize is not None
+    assert maxsize == CACHE_SIZE

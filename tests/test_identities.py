@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from barybinom import identities
-from barybinom.bary import bary_binom
+from barybinom.bary import bary_binom, shift_subtract_table
+from barybinom.classic import classic_binom
 from barybinom.identities import (
     SUITES,
     DefectMatrix,
@@ -114,10 +116,150 @@ def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monk
     for sweep in (
         lambda: check_symmetry(bases=(3,), n_max=12, k_max=24),
         lambda: check_pascal(bases=(3,), n_max=12, k_max=24),
-        lambda: check_chu_negative(bases=(3,), n_max=14, k_max=28),
     ):
         assert not sweep().passed
+    # the infinity sides compare the kernel's product with the partition
+    # sum, so they report the fault on their own
+    for sweep, branch in (
+        (lambda: check_chu_negative(bases=(3,), n_max=14, k_max=28), "infinity"),
+        (lambda: check_chu_mixed(bases=(3,), n_max=14, k_max=28), "neg-inf"),
+    ):
+        branches = [w.inputs[-1] for w in sweep().failures]
+        assert branch in branches
+        assert len(branches) > branches.count(branch)
     assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
+
+
+def test_a_wrong_but_multiplicative_kernel_shows_on_the_infinity_side(monkeypatch):
+    # a kernel that returns the coefficients of (1+x)^n ignores the base,
+    # yet still satisfies f_{n+m} = f_n * f_m; the zero side of chu-neg
+    # compares the kernel with itself and cannot see it, the infinity
+    # side compares it with the partition sum
+    def base_blind(n, b, limit):
+        return tuple(classic_binom(n, r) for r in range(limit + 1))
+
+    monkeypatch.setattr(identities, "shift_subtract_table", base_blind)
+    r = check_chu_negative(bases=(3,), n_max=14, k_max=28)
+    assert r.failures
+    assert {w.inputs[-1] for w in r.failures} == {"infinity"}
+
+
+def schoolbook(a, b, size):
+    out = [0] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < size:
+                out[i + j] += x * y
+    return out
+
+
+COEFFS = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-(2**100), 2**100)), max_size=12
+)
+
+
+@given(COEFFS, COEFFS, st.integers(0, 30))
+@example([], [1, 2], 3)
+@example([5], [-7], 1)
+@example([0, 0, 0], [0, 0], 4)
+@example([0], [128], 1)
+@example([-(2**64)] * 5, [2**64] * 5, 9)
+@example([2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], 2)
+@example([1, 2, 3], [4, 5, 6], 0)
+def test_convolve_matches_the_schoolbook_product(a, b, size):
+    assert identities._convolve(a, b, size) == schoolbook(a, b, size)
+
+
+def chu_negative_reference(bases, n_max, k_max):
+    """The sum-per-coefficient chu-neg loops, kept as an oracle."""
+    failures = []
+    checked = skipped = 0
+    for b in bases:
+        for n in range(1, n_max // 2 + 1):
+            for m in range(n, n_max - n + 1):
+                if not carry_free(n, m, b):
+                    skipped += 1
+                    continue
+                t_n = shift_subtract_table(-n, b, k_max)
+                t_m = shift_subtract_table(-m, b, k_max)
+                t_nm = shift_subtract_table(-(n + m), b, k_max)
+                for k in range(m, k_max + 1):
+                    rhs = sum(t_n[k - j] * t_m[j] for j in range(k + 1))
+                    checked += 1
+                    if t_nm[k] != rhs:
+                        failures.append(Witness((b, n, m, k, "zero"), t_nm[k], rhs))
+                for k in range(n + m, k_max + 1):
+                    rhs = sum(t_n[k - j - n] * t_m[j - m] for j in range(m, k - n + 1))
+                    lhs = t_nm[k - n - m]
+                    checked += 1
+                    if lhs != rhs:
+                        failures.append(Witness((b, n, m, -k, "infinity"), lhs, rhs))
+    return IdentityReport(
+        "chu-neg",
+        f"b in {','.join(map(str, bases))}, carry-free pairs with n+m <= {n_max}, k <= {k_max}",
+        checked,
+        tuple(failures),
+        skipped,
+    )
+
+
+def chu_mixed_reference(bases, n_max, k_max):
+    """The sum-per-coefficient chu-mixed loops, kept as an oracle."""
+    failures = []
+    checked = skipped = 0
+    for b in bases:
+        for n in range(2, n_max + 1):
+            d_n = [bary_binom(n, i, b) for i in range(n + 1)]
+            for m in range(1, n):
+                if not carry_free(m, n - m, b):
+                    skipped += 1
+                    continue
+                t_m = shift_subtract_table(-m, b, n)
+                d_m = [bary_binom(m, j, b) for j in range(m + 1)]
+                for k in range(n - m + 1):
+                    lhs = bary_binom(n - m, k, b)
+                    j_form = sum(d_n[k - j] * t_m[j] for j in range(k + 1))
+                    s_form = sum(d_n[s] * t_m[s - k - m] for s in range(k + m, n + 1))
+                    checked += 2
+                    if lhs != j_form:
+                        failures.append(Witness((b, n, m, k, "pos-j"), lhs, j_form))
+                    if lhs != s_form:
+                        failures.append(Witness((b, n, m, k, "pos-s"), lhs, s_form))
+                t_nm = shift_subtract_table(-(n - m), b, k_max)
+                t_n = shift_subtract_table(-n, b, k_max)
+                for k in range(k_max + 1):
+                    rhs = sum(t_n[k - j] * d_m[j] for j in range(min(k, m) + 1))
+                    checked += 1
+                    if t_nm[k] != rhs:
+                        failures.append(Witness((b, n, m, k, "neg-zero"), t_nm[k], rhs))
+                for k in range(n - m, n - m + k_max + 1):
+                    lhs = t_nm[k - (n - m)]
+                    rhs = sum(
+                        t_n[k + j - n] * d_m[j] for j in range(max(0, n - k), m + 1)
+                    )
+                    checked += 1
+                    if lhs != rhs:
+                        failures.append(Witness((b, n, m, -k, "neg-inf"), lhs, rhs))
+    return IdentityReport(
+        "chu-mixed",
+        f"b in {','.join(map(str, bases))}, carry-free splits of n <= {n_max}, k <= {k_max}",
+        checked,
+        tuple(failures),
+        skipped,
+    )
+
+
+@pytest.mark.parametrize("n_max, k_max", [(40, 5), (12, 40), (30, 30), (2, 3), (1, 1)])
+@pytest.mark.parametrize(
+    "sweep, reference",
+    [
+        pytest.param(check_chu_negative, chu_negative_reference, id="chu-neg"),
+        pytest.param(check_chu_mixed, chu_mixed_reference, id="chu-mixed"),
+    ],
+)
+def test_chu_sweeps_match_the_sum_per_coefficient_loops(sweep, reference, n_max, k_max):
+    bases = (2, 3, 7)
+    assert sweep(bases, n_max, k_max) == reference(bases, n_max, k_max)
 
 
 def test_table_generator_reproduces_the_frozen_matrix(table1):
