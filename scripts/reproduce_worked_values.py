@@ -61,7 +61,7 @@ def main() -> int:
     print("-- partition index sets --")
     plain = [p.parts for p in enumerate_partitions(7, 4, 2)]
     check("tuples for k = 7", plain, [(1, 3), (0, 7)])
-    bounded = [p.parts for p in enumerate_restricted(8, to_digits(6, 4))]
+    bounded = [p.parts for p in enumerate_restricted(8, 4, to_digits(6, 4))]
     check("tuples for k = -8 (bounds 1,2)", bounded, [(1, 4)])
 
     print("-- 10 x 19 star defect table, base 4 --")

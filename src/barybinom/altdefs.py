@@ -12,16 +12,9 @@ only, which is the only regime where they differ.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .bary import _digit_product
 from .classic import classic_binom
 from .digits import digit_sum
-
-
-class AltVariant(Enum):
-    STAR = "star"
-    DOUBLE_STAR = "dstar"
 
 
 def star_binom(n: int, k: int, b: int) -> int:

@@ -15,7 +15,6 @@ entries, and none may need more than MAX_TERMS terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -32,15 +31,6 @@ class Method(Enum):
     AUTO = "auto"
     SERIES = "series"
     PARTITION = "partition"
-    DIGIT_PRODUCT = "digit-product"
-
-
-@dataclass(frozen=True)
-class BaryQuery:
-    n: int
-    k: int
-    base: int
-    method: Method = Method.AUTO
 
 
 def bary_binom(n: int, k: int, base: int, method: Method = Method.AUTO) -> int:
@@ -64,17 +54,9 @@ def bary_binom(n: int, k: int, base: int, method: Method = Method.AUTO) -> int:
         # binom(n, n - r)_b = [x^r] 1/f_|n|; the band n < k < 0 is 0
         r = k if k >= 0 else n - k
         return shift_subtract_table(n, base, r)[r] if r >= 0 else 0
-    if method is Method.DIGIT_PRODUCT:
-        if n < 0:
-            raise ValueError("digit-product method applies to n >= 0 only")
-        return _digit_product(n, k, base)
     if method is Method.PARTITION:
         return bary_binom_partition(n, k, base)
     return bary_binom_series(n, k, base)
-
-
-def evaluate(q: BaryQuery) -> int:
-    return bary_binom(q.n, q.k, q.base, q.method)
 
 
 def _digit_product(n: int, k: int, b: int) -> int:
@@ -168,10 +150,9 @@ def _value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ..
     # tuples (j_l, ..., j_0) with weighted sum r of the products of
     # classic_binom factors.  Positions with digit 0 force j_l = 0 and
     # are skipped.
-    dv = to_digits(n, base)
     cur = [0] * (limit + 1)
     cur[0] = 1
-    for l, d in enumerate(dv.digits):
+    for l, d in enumerate(to_digits(n, base)):
         if d == 0:
             continue
         step = base**l

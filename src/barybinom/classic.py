@@ -6,8 +6,10 @@ infinity when k < 0.  Both expansions reduce to closed forms in ordinary
 binomial coefficients, so the function is total and exact.
 
 Values are cached in an lru_cache of CACHE_SIZE entries: enough for
-the distinct keys of one `verify --suite all` (about 30,000), and a
-bound for any other caller.
+the digit-sized keys the sweeps share (one `verify --suite all` ends
+with about 2,100), and a bound for any other caller.  Callers with a
+one-off grid of keys, such as the lucas sweep, read past the cache
+through classic_binom.__wrapped__.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-CACHE_SIZE = 2**15
+CACHE_SIZE = 2**12
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -8,7 +8,8 @@ that no selected suite takes (--kmax for aggregation, --base for lucas,
 --prime for a base-swept suite; --suite all applies each option to the
 suites that take it), and a request past the size limit: a binom value
 for n < 0 whose table or expansion would need more than MAX_TERMS =
-10**6 terms, or an expand order above it.  Data goes to stdout,
+10**6 terms, an expand order above it, or a partitions output of more
+than MAX_TERMS integers (tuples times length).  Data goes to stdout,
 diagnostics to stderr.  Everything is exact integer arithmetic
 serialized as decimal strings; identical invocations produce
 byte-identical output.  The environment variable BARYBINOM_WORKERS
@@ -17,7 +18,7 @@ or prime, with the pool clamped to the number of slices; reports merge
 in a fixed order, so the output does not depend on scheduling.  The
 value tables and expansions behind the coefficients are cached in
 bounded lru_caches of 32 entries each, and classic_binom in one of
-2**15 entries.
+2**12 entries.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def cmd_table(args) -> int:
 def cmd_partitions(args) -> int:
     if args.restrict is not None:
         digits = to_digits(args.restrict, args.base, args.length or 0)
-        tuples = enumerate_restricted(args.k, digits)
+        tuples = enumerate_restricted(args.k, args.base, digits)
         length = len(digits)
     else:
         if args.length is None:

@@ -1,46 +1,22 @@
 """Sign-consistent base-b digit expansions.
 
 A negative integer is expanded so that every digit is nonpositive: the
-digit list of -n is the elementwise negation of the digit list of n.
+digit tuple of -n is the elementwise negation of the digit tuple of n.
 All digit-wise formulas in this package rely on that convention.
+Digits are plain tuples, least-significant first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Digits of ``value`` in base ``base``, least-significant first."""
-
-    base: int
-    digits: tuple[int, ...]
-    value: int
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def msf(self) -> tuple[int, ...]:
-        """Digits in most-significant-first (display) order."""
-        return tuple(reversed(self.digits))
-
-
-def _check_base(b: int) -> None:
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-
-
-def to_digits(n: int, b: int, min_len: int = 0) -> DigitVector:
-    """Expand n in base b with sign-consistent digits.
+def to_digits(n: int, b: int, min_len: int = 0) -> tuple[int, ...]:
+    """The sign-consistent digits of n in base b, least-significant first.
 
     The expansion of 0 is the single digit 0.  ``min_len`` zero-pads on
     the most-significant side; it never truncates.
     """
-    _check_base(b)
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
     if min_len < 0:
         raise ValueError(f"min_len must be >= 0, got {min_len}")
     m = abs(n)
@@ -54,7 +30,7 @@ def to_digits(n: int, b: int, min_len: int = 0) -> DigitVector:
         digits = [-d for d in digits]
     while len(digits) < min_len:
         digits.append(0)
-    return DigitVector(base=b, digits=tuple(digits), value=n)
+    return tuple(digits)
 
 
 def pair_length(n: int, k: int, b: int) -> int:
@@ -62,11 +38,9 @@ def pair_length(n: int, k: int, b: int) -> int:
 
     The digit count of 0 is 1, so N >= 1 always.
     """
-    _check_base(b)
     return max(len(to_digits(n, b)), len(to_digits(k, b)))
 
 
 def digit_sum(n: int, b: int) -> int:
     """S_b(n), the sum of the sign-consistent digits; S_b(-n) = -S_b(n)."""
-    _check_base(b)
-    return sum(to_digits(n, b).digits)
+    return sum(to_digits(n, b))

@@ -2,14 +2,17 @@
 
 These are the index sets of the partition-sum formula: N-tuples
 (j_{N-1}, ..., j_0) of nonnegative integers with sum of j_l * b^l equal
-to k, optionally with per-position lower bounds j_l >= n_l.
+to k, optionally with per-position lower bounds j_l >= n_l.  One output
+holds at most MAX_TERMS integers (tuples times N); a larger one raises
+ValueError before it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .digits import DigitVector
+from .series import MAX_TERMS
 
 
 @dataclass(frozen=True)
@@ -38,42 +41,63 @@ def enumerate_partitions(k: int, b: int, N: int) -> list[PartitionTuple]:
         raise ValueError(f"N must be >= 1, got {N}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _descend(k, b, N, [0] * N)
-
-
-def enumerate_restricted(k: int, n_digits: DigitVector) -> list[PartitionTuple]:
-    """The subset of enumerate_partitions(k, b, N) with j_l >= n_l.
-
-    ``n_digits`` must be the digit vector of a positive integer n; its
-    base supplies b and its length supplies N.  Empty whenever k < n.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if n_digits.value <= 0 or any(d < 0 for d in n_digits.digits):
-        raise ValueError("n_digits must expand a positive integer")
-    b = n_digits.base
-    N = len(n_digits)
-    lows = n_digits.msf()
-    return _descend(k, b, N, list(lows))
-
-
-def _descend(k: int, b: int, N: int, lows: list[int]) -> list[PartitionTuple]:
-    # recursive descent on l = N-1 .. 0, largest multiplicity first;
-    # at l = 0 the remainder forces j_0, so no scan is needed there
+    # positions with b^l > k take multiplicity 0 and are not recursed
+    # into; position 0 always takes the remainder
+    free = 1
+    while free < N and b**free <= k:
+        free += 1
+    if free > 1:
+        # parts 1 and b alone give k // b + 1 tuples, so this also
+        # bounds the recursion depth below
+        _check_size(k // b + 1, N)
     out: list[PartitionTuple] = []
-    prefix: list[int] = []
+    prefix = [0] * (N - free)
 
+    # recursive descent on l = free-1 .. 0, largest multiplicity first;
+    # at l = 0 the remainder forces j_0, so no scan is needed there
     def rec(l: int, rem: int) -> None:
-        low = lows[N - 1 - l]
         if l == 0:
-            if rem >= low:
-                out.append(PartitionTuple(tuple(prefix) + (rem,)))
+            out.append(PartitionTuple(tuple(prefix) + (rem,)))
+            _check_size(len(out), N)
             return
         w = b**l
-        for j in range(rem // w, low - 1, -1):
+        for j in range(rem // w, -1, -1):
             prefix.append(j)
             rec(l - 1, rem - j * w)
             prefix.pop()
 
-    rec(N - 1, k)
+    rec(free - 1, k)
     return out
+
+
+def enumerate_restricted(k: int, b: int, digits: tuple[int, ...]) -> list[PartitionTuple]:
+    """The subset of enumerate_partitions(k, b, N) with j_l >= n_l.
+
+    ``digits`` are the base-b digits (n_0, ..., n_{N-1}) of a positive
+    integer n, least significant first, as to_digits returns them; N is
+    their count.  Lowering each j_l by n_l maps these tuples, in order,
+    onto enumerate_partitions(k - n, b, N), so the set is empty
+    whenever k < n.
+    """
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if not any(digits) or not all(0 <= d < b for d in digits):
+        raise ValueError(f"digits must expand a positive integer in base {b}")
+    n = sum(d * b**l for l, d in enumerate(digits))
+    if k < n:
+        return []
+    lows = digits[::-1]
+    return [
+        PartitionTuple(tuple(map(add, p.parts, lows)))
+        for p in enumerate_partitions(k - n, b, len(digits))
+    ]
+
+
+def _check_size(tuples: int, N: int) -> None:
+    if tuples * N > MAX_TERMS:
+        raise ValueError(
+            f"more than {MAX_TERMS} integers of output ({N} per tuple); "
+            "lower k or the length"
+        )

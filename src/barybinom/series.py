@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .digits import to_digits
 
@@ -65,19 +66,6 @@ def one(point: ExpansionPoint, order: int) -> LaurentSeries:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return LaurentSeries(point, 0, (1,) + (0,) * (order - 1))
-
-
-def _one_plus_power(c: int, point: ExpansionPoint, order: int) -> LaurentSeries:
-    """The factor 1 + x^c (c >= 1) expanded at the given point.
-
-    At infinity this is u^-c + 1 = u^-c * (1 + u^c), stored from lead -c.
-    """
-    coeffs = [0] * order
-    coeffs[0] = 1
-    if c < order:
-        coeffs[c] = 1
-    lead = 0 if point is ExpansionPoint.AT_ZERO else -c
-    return LaurentSeries(point, lead, tuple(coeffs))
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -147,9 +135,14 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     """Expand f(x) = prod over digit positions l of (1 + x^(b^l))^(n_l).
 
     n_l are the sign-consistent digits of n, so they all share n's sign.
-    The positive-digit product is a plain polynomial; for n < 0 the whole
-    product is inverted once at the end.  For n < 0 at infinity the
-    expansion therefore starts at x^-|n| with coefficient +1.
+    The polynomial f_|n| is built by one shift-add pass
+    c[r] += c[r - b^l] (every r at once, from the previous values) per
+    unit of each digit; a factor with b^l >= order leaves the retained
+    terms unchanged.  At infinity
+    f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l| with u = 1/x, so the same
+    coefficients are stored from lead -|n|.  For n < 0 the product is
+    inverted once at the end, so its expansion at infinity starts at
+    x^-|n| with coefficient +1.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
@@ -157,15 +150,18 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_TERMS:
         raise ValueError(f"order {order} exceeds the limit of {MAX_TERMS} terms")
-    acc = one(point, order)
-    for l, d in enumerate(to_digits(n, b).digits):
-        if d == 0:
-            continue
-        factor = series_pow(_one_plus_power(b**l, point, order), abs(d))
-        acc = series_mul(acc, factor)
-    if n < 0:
-        acc = series_inverse(acc)
-    return acc
+    c = [0] * order
+    c[0] = 1
+    step = 1
+    for d in to_digits(n, b):
+        if step >= order:
+            break
+        for _ in range(abs(d)):
+            c[step:] = map(add, c[step:], c)
+        step *= b
+    lead = 0 if point is ExpansionPoint.AT_ZERO else -abs(n)
+    f = LaurentSeries(point, lead, tuple(c))
+    return series_inverse(f) if n < 0 else f
 
 
 def coefficient(s: LaurentSeries, e: int) -> int:

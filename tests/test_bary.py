@@ -4,12 +4,10 @@ from hypothesis import given, settings, strategies as st
 from barybinom.altdefs import star_binom
 from barybinom import bary
 from barybinom.bary import (
-    BaryQuery,
     Method,
     bary_binom,
     bary_binom_partition,
     bary_binom_series,
-    evaluate,
     partition_value_table,
     shift_subtract_table,
 )
@@ -34,15 +32,15 @@ def partition_sum_literal(n, k, b):
         total = 0
         for p in enumerate_partitions(k, b, len(dv)):
             prod = 1
-            for d, j in zip(dv.msf(), p.parts):
+            for d, j in zip(dv[::-1], p.parts):
                 prod *= classic_binom(d, j)
             total += prod
         return total
     dv = to_digits(-n, b)
     total = 0
-    for p in enumerate_restricted(-k, dv):
+    for p in enumerate_restricted(-k, b, dv):
         prod = 1
-        for d, j in zip(dv.msf(), p.parts):
+        for d, j in zip(dv[::-1], p.parts):
             prod *= classic_binom(-d, -j)
         total += prod
     return total
@@ -57,7 +55,7 @@ def digit_product_literal(n, k, b):
     """
     N = max(len(to_digits(n, b)), len(to_digits(k, b)))
     prod = 1
-    for nl, kl in zip(to_digits(n, b, N).digits, to_digits(k, b, N).digits):
+    for nl, kl in zip(to_digits(n, b, N), to_digits(k, b, N)):
         prod *= classic_binom(nl, kl)
     return prod
 
@@ -173,8 +171,6 @@ def test_dispatch_rejects_mismatched_methods():
     with pytest.raises(ValueError):
         bary_binom(5, 2, 4, Method.PARTITION)
     with pytest.raises(ValueError):
-        bary_binom(-5, 2, 4, Method.DIGIT_PRODUCT)
-    with pytest.raises(ValueError):
         bary_binom(5, 2, 1)
     with pytest.raises(ValueError):
         bary_binom_partition(-5, 2, 1)
@@ -188,18 +184,10 @@ def test_dispatch_rejects_mismatched_methods():
         shift_subtract_table(-5, 1, 10)
 
 
-def test_query_evaluation_is_plain_dispatch():
-    q = BaryQuery(n=-6, k=7, base=4, method=Method.SERIES)
-    assert evaluate(q) == -4
-    assert evaluate(BaryQuery(-6, -8, 4)) == 3
-    assert q == BaryQuery(-6, 7, 4, Method.SERIES)
-
-
 def test_method_values_are_the_cli_spellings():
     assert Method("auto") is Method.AUTO
     assert Method("series") is Method.SERIES
     assert Method("partition") is Method.PARTITION
-    assert Method("digit-product") is Method.DIGIT_PRODUCT
 
 
 @given(st.integers(-15, 15), st.integers(-15, 15), st.integers(0, 4))

@@ -94,6 +94,24 @@ def test_partitions_restricted(capsys):
     assert out.splitlines() == ["j1\tj0", "1\t4"]
 
 
+def test_partitions_with_many_forced_zero_positions(capsys):
+    # every position with b^l > k takes multiplicity 0, without recursion
+    code, out, _ = run(capsys, "partitions", "--base", "2", "--k", "1", "--len", "2000")
+    assert code == 0
+    assert out.splitlines()[1:] == ["\t".join(["0"] * 1999 + ["1"])]
+
+
+def test_partitions_past_the_size_limit_exit_two(capsys):
+    for argv in (
+        ("--base", "2", "--k", "3000", "--len", "12"),
+        ("--base", "2", "--k", str(10**400), "--len", "2000"),
+        ("--base", "2", "--k", "3000", "--len", "12", "--restrict", "5"),
+    ):
+        code, out, err = run(capsys, "partitions", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
 def test_table_reproduces_first_rows(capsys, table1):
     code, out, _ = run(capsys, "table", "--kind", "table1")
     lines = out.splitlines()

@@ -50,6 +50,14 @@ def test_small_sweep_passes(sweep):
     assert r.passed, r.failures[:3]
 
 
+def test_lucas_reads_its_grid_past_the_classic_cache():
+    # only the digit products' keys stay cached: pairs of base-7 digits
+    classic_binom.cache_clear()
+    r = check_lucas(primes=(7,), n_max=60, k_max=120)
+    assert r.passed and r.checked_count == 121 * 241
+    assert classic_binom.cache_info().currsize <= 13 * 13
+
+
 def carry_free_literal(n, m, b):
     """Digit-by-digit schoolbook addition: no column reaches b."""
     while n or m:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from barybinom import partitions
 from barybinom.digits import to_digits
 from barybinom.partitions import (
     PartitionTuple,
@@ -57,16 +58,42 @@ def test_five_base_two_three_parts():
 
 
 def test_restricted_to_digits_of_six_base_four():
-    assert parts(enumerate_restricted(8, to_digits(6, 4))) == [(1, 4)]
-    assert parts(enumerate_restricted(6, to_digits(6, 4))) == [(1, 2)]
-    assert parts(enumerate_restricted(5, to_digits(6, 4))) == []
+    assert parts(enumerate_restricted(8, 4, to_digits(6, 4))) == [(1, 4)]
+    assert parts(enumerate_restricted(6, 4, to_digits(6, 4))) == [(1, 2)]
+    assert parts(enumerate_restricted(5, 4, to_digits(6, 4))) == []
 
 
 def test_restricted_is_empty_below_the_bound():
     d = to_digits(11, 2)
     for k in range(11):
-        assert enumerate_restricted(k, d) == []
-    assert len(enumerate_restricted(11, d)) == 1
+        assert enumerate_restricted(k, 2, d) == []
+    assert len(enumerate_restricted(11, 2, d)) == 1
+
+
+def test_positions_past_k_take_zero_without_recursing():
+    assert parts(enumerate_partitions(1, 2, 2000)) == [(0,) * 1999 + (1,)]
+    assert parts(enumerate_partitions(0, 3, 1500)) == [(0,) * 1500]
+    assert parts(enumerate_restricted(9, 2, to_digits(9, 2, 1500))) == [
+        (0,) * 1496 + (1, 0, 0, 1)
+    ]
+
+
+def test_outputs_past_the_limit_raise_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_TERMS", 20)
+    # parts 1 and 2 give k // 2 + 1 pairs: 10 pairs of 2 integers fit
+    assert len(enumerate_partitions(18, 2, 2)) == 10
+    assert len(enumerate_restricted(19, 2, (1, 0))) == 10
+    with pytest.raises(ValueError, match="20 integers"):
+        enumerate_partitions(20, 2, 2)
+    with pytest.raises(ValueError, match="20 integers"):
+        enumerate_restricted(21, 2, (1, 0))
+    # many free positions: refused on the k // b + 1 bound alone
+    with pytest.raises(ValueError, match="20 integers"):
+        enumerate_partitions(10**400, 2, 2000)
+    # the count of three-part tuples is found while they are generated
+    assert len(enumerate_partitions(6, 2, 3)) == 6
+    with pytest.raises(ValueError, match="20 integers"):
+        enumerate_partitions(8, 2, 3)
 
 
 def test_invalid_arguments_raise():
@@ -77,11 +104,17 @@ def test_invalid_arguments_raise():
     with pytest.raises(ValueError):
         enumerate_partitions(-1, 2, 2)
     with pytest.raises(ValueError):
-        enumerate_restricted(-1, to_digits(6, 4))
+        enumerate_restricted(-1, 4, to_digits(6, 4))
     with pytest.raises(ValueError):
-        enumerate_restricted(3, to_digits(0, 4))
+        enumerate_restricted(3, 4, to_digits(0, 4))
     with pytest.raises(ValueError):
-        enumerate_restricted(3, to_digits(-6, 4))
+        enumerate_restricted(3, 4, to_digits(-6, 4))
+    with pytest.raises(ValueError):
+        enumerate_restricted(3, 4, (5,))
+    with pytest.raises(ValueError):
+        enumerate_restricted(3, 4, ())
+    with pytest.raises(ValueError):
+        enumerate_restricted(3, 1, (1,))
 
 
 def test_matches_brute_force_on_small_grid():
@@ -102,11 +135,11 @@ def test_restricted_matches_filtered_unrestricted():
     for n in (1, 5, 6, 9):
         for b in (2, 3, 4):
             d = to_digits(n, b)
-            lows = d.msf()
+            lows = d[::-1]
             for k in range(0, 25):
                 full = enumerate_partitions(k, b, len(d))
                 want = [p for p in full if all(j >= lo for j, lo in zip(p.parts, lows))]
-                assert enumerate_restricted(k, d) == want, (n, b, k)
+                assert enumerate_restricted(k, b, d) == want, (n, b, k)
 
 
 @given(st.integers(0, 60), st.integers(2, 6), st.integers(1, 5))

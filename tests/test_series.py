@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from barybinom.digits import to_digits
 from barybinom.series import (
     ExpansionPoint,
     LaurentSeries,
@@ -24,6 +25,37 @@ leads = st.integers(-8, 8)
 
 def series(point, lead, *coeffs):
     return LaurentSeries(point, lead, tuple(coeffs))
+
+
+def square_and_multiply_expand(n, b, point, order):
+    """f_{n,b} built factor by factor with series arithmetic.
+
+    Kept deliberately independent of gf_expand's shift-add passes: each
+    factor 1 + x^(b^l) is a series of its own (stored from lead -b^l at
+    infinity), raised to |n_l| by square-and-multiply and multiplied
+    into the product, which is inverted once when n < 0.
+    """
+    acc = one(point, order)
+    for l, d in enumerate(to_digits(n, b)):
+        if d == 0:
+            continue
+        c = b**l
+        coeffs = [0] * order
+        coeffs[0] = 1
+        if c < order:
+            coeffs[c] = 1
+        factor = LaurentSeries(point, 0 if point is ZERO else -c, tuple(coeffs))
+        acc = series_mul(acc, series_pow(factor, abs(d)))
+    return series_inverse(acc) if n < 0 else acc
+
+
+def test_expansion_matches_the_square_and_multiply_build():
+    for b in range(2, 8):
+        for n in range(-130, 131):
+            for order in (1, 2, 3, 7, 64, 300):
+                for point in (ZERO, INF):
+                    want = square_and_multiply_expand(n, b, point, order)
+                    assert gf_expand(n, b, point, order) == want, (n, b, point, order)
 
 
 def test_expansion_of_f63_at_zero():
