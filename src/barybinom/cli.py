@@ -2,23 +2,26 @@
 defect tables, partition sets, and the identity sweeps.
 
 Exit codes: 0 success (all sweeps PASS), 1 an identity sweep produced a
-counterexample, 2 usage error.  Usage errors include a --prime that is
-not prime, bounds under which a sweep checks no case, a verify option
-that no selected suite takes (--kmax for aggregation, --base for lucas,
---prime for a base-swept suite; --suite all applies each option to the
-suites that take it), and a request past the size limit: a binom value
-for n < 0 whose table or expansion would need more than MAX_TERMS =
-10**6 terms, an expand order above it, or a partitions output of more
-than MAX_TERMS integers (tuples times length).  Data goes to stdout,
-diagnostics to stderr.  Everything is exact integer arithmetic
-serialized as decimal strings; identical invocations produce
-byte-identical output.  The environment variable BARYBINOM_WORKERS
-(default 1) fans verify sweeps out across processes, one slice per base
-or prime, with the pool clamped to the number of slices; reports merge
-in a fixed order, so the output does not depend on scheduling.  The
-value tables and expansions behind the coefficients are cached in
-bounded lru_caches of 32 entries each, and classic_binom in one of
-2**12 entries.
+counterexample, 2 usage error, 141 stdout was closed before all output
+was written (what a shell reports for SIGPIPE, e.g. under `| head`).
+Usage errors include a --prime that is not prime, bounds under which a
+sweep checks no case, a verify option that no selected suite takes
+(--kmax for aggregation, --base for lucas, --prime for a base-swept
+suite; --suite all applies each option to the suites that take it),
+and a request past the size limit: a binom value for n < 0 whose table
+or expansion would need more than MAX_TERMS = 10**6 terms, an expand
+order above it, or a partitions output of more than MAX_TERMS integers
+(tuples times length).  Data goes to stdout, diagnostics to stderr.
+Everything is exact integer arithmetic serialized as decimal strings;
+identical invocations produce byte-identical output.  verify calls
+each selected suite's check once.
+The environment variable BARYBINOM_WORKERS (default 1) fans the
+selected suites out across processes, one suite per task, with the
+pool clamped to the number of suites, so a one-suite run is one
+process; reports keep registry order, so the output does not depend on
+scheduling.  The value tables and expansions behind the coefficients
+are cached in bounded lru_caches of 32 entries each, and classic_binom
+in one of 2**12 entries.
 """
 
 from __future__ import annotations
@@ -35,25 +38,33 @@ from . import identities
 from .altdefs import dstar_binom, star_binom
 from .bary import Method, bary_binom
 from .digits import to_digits
-from .identities import IdentityReport, merge_reports
+from .identities import IdentityReport
 from .partitions import enumerate_partitions, enumerate_restricted
 from .series import ExpansionPoint, gf_expand
 
 MAX_WITNESS_LINES = 20
 
-# verify option -> the suite axis it restricts, or the bound it sets
-_AXES = {"base": "bases", "prime": "primes"}
-_BOUNDS = {"nmax": "n_max", "kmax": "k_max"}
+# verify option -> the check parameter it sets, where the check takes it
+_PARAMS = {"base": "bases", "prime": "primes", "nmax": "n_max", "kmax": "k_max"}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the final
+        # flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,14 +200,21 @@ def cmd_verify(args) -> int:
     if args.prime is not None and not _is_prime(args.prime):
         raise ValueError(f"--prime must be a prime, got {args.prime}")
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
-    taken = set().union(*(_options(identities.SUITES[name]) for name in names))
-    for option in (*_AXES, *_BOUNDS):
-        if getattr(args, option) is not None and option not in taken:
+    calls = [_kwargs(identities.SUITES[name], args) for name in names]
+    for option, param in _PARAMS.items():
+        if getattr(args, option) is not None and not any(param in kw for kw in calls):
             raise ValueError(f"--{option} is not taken by suite {args.suite}")
-    workers = int(os.environ.get("BARYBINOM_WORKERS", "1"))
-    results: list[tuple[str, IdentityReport]] = []
-    for name in names:
-        results.append((name, _run_suite(name, args, workers)))
+    workers = min(int(os.environ.get("BARYBINOM_WORKERS", "1")), len(names))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_run_suite, names, calls))
+    else:
+        reports = list(map(_run_suite, names, calls))
+    results = list(zip(names, reports))
+    for name, report in results:
+        if not report.checked_count:
+            # a sweep that checked nothing cannot vouch for the identity
+            raise ValueError(f"suite {name} checks no cases with these bounds")
     if args.format == "json":
         for name, report in results:
             _emit_json(_report_json(name, report))
@@ -217,46 +235,25 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for _, r in results) else 1
 
 
-def _options(spec) -> set[str]:
-    """The verify options a suite takes: its axis and its bounds."""
+def _kwargs(spec, args) -> dict:
+    """The check's arguments for the verify options given that it takes:
+    --base v sweeps bases=(v,), --prime v primes=(v,), and --nmax and
+    --kmax set n_max and k_max."""
     params = inspect.signature(spec.func).parameters
-    options = {o for o, axis in _AXES.items() if axis == spec.axis}
-    return options | {o for o, bound in _BOUNDS.items() if bound in params}
-
-
-def _run_suite(name: str, args, workers: int) -> IdentityReport:
-    spec = identities.SUITES[name]
-    values = spec.axis_values
-    extra = {}
-    for option in _options(spec):
+    kwargs = {}
+    for option, param in _PARAMS.items():
         value = getattr(args, option)
-        if value is None:
-            continue
-        if option in _AXES:
-            values = (value,)
-        else:
-            extra[_BOUNDS[option]] = value
-    tasks = [(name, spec.axis, v, extra) for v in values]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            reports = list(pool.map(_run_slice, tasks))
-    else:
-        reports = [_run_slice(t) for t in tasks]
-    report = merge_reports(reports)
-    if not report.checked_count:
-        # a sweep that checked nothing cannot vouch for the identity
-        raise ValueError(f"suite {name} checks no cases with these bounds")
-    return report
+        if value is not None and param in params:
+            kwargs[param] = (value,) if param in ("bases", "primes") else value
+    return kwargs
+
+
+def _run_suite(name: str, kwargs: dict) -> IdentityReport:
+    return identities.SUITES[name].func(**kwargs)
 
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-
-
-def _run_slice(task) -> IdentityReport:
-    name, axis, value, extra = task
-    func = identities.SUITES[name].func
-    return func(**{axis: (value,)}, **extra)
 
 
 def _report_json(name: str, report: IdentityReport) -> dict:

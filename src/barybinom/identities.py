@@ -50,47 +50,6 @@ class IdentityReport:
         return not self.failures
 
 
-def merge_reports(reports: Sequence[IdentityReport]) -> IdentityReport:
-    """Combine per-slice reports of one identity (e.g. one per base)."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    ids = {r.identity_id for r in reports}
-    if len(ids) > 1:
-        raise ValueError(f"cannot merge distinct identities {sorted(ids)}")
-    failures: list[Witness] = []
-    for r in reports:
-        failures.extend(r.failures)
-    return IdentityReport(
-        identity_id=reports[0].identity_id,
-        swept_domain=_merge_domains([r.swept_domain for r in reports]),
-        checked_count=sum(r.checked_count for r in reports),
-        failures=tuple(failures),
-        skipped_count=sum(r.skipped_count for r in reports),
-    )
-
-
-def _merge_domains(domains: list[str]) -> str:
-    # slices of one sweep differ only in the leading "axis in values"
-    # clause; collapse those back into one list so a fanned-out run
-    # reads the same as a direct one
-    parts = [d.split(", ", 1) for d in domains]
-    heads = [p[0].rsplit(" in ", 1) for p in parts]
-    rests = {p[1] for p in parts if len(p) == 2}
-    if (
-        len(rests) <= 1
-        and all(len(h) == 2 for h in heads)
-        and len({h[0] for h in heads}) == 1
-    ):
-        values = ",".join(h[1] for h in heads)
-        rest = f", {rests.pop()}" if rests else ""
-        return f"{heads[0][0]} in {values}{rest}"
-    out = []
-    for d in domains:
-        if d not in out:
-            out.append(d)
-    return "; ".join(out)
-
-
 @dataclass(frozen=True)
 class DefectMatrix:
     """Values of a Pascal-style expression; nonzero entries mark where
@@ -149,18 +108,39 @@ def _fn(n: int, b: int, span: int, sides=_kernel_sides) -> Callable[[int], int]:
     return val
 
 
-def _star0(n: int, k: int, b: int) -> int:
-    # star digit product extended to n = 0, where it degenerates to the
-    # empty product: 1 at k = 0, else 0 (some digit of k exceeds 0)
-    if n == 0:
-        return 1 if k == 0 else 0
-    return star_binom(n, k, b)
+_VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
 
 
-def _dstar0(n: int, k: int, b: int) -> int:
+def _variant_fn(variant: str, n: int, b: int) -> Callable[[int], int]:
+    # point lookup v(n, .)_b for a coefficient variant; star and dstar
+    # extend to n = 0, where the digit product degenerates to the empty
+    # product: 1 at k = 0, else 0 (some digit of k exceeds 0)
     if n == 0:
-        return 1 if k == 0 else 0
-    return dstar_binom(n, k, b)
+        return lambda k: int(k == 0)
+    coeff = _VARIANTS[variant]
+    return lambda k: coeff(n, k, b)
+
+
+def _pascal_step(
+    val_n: Callable[[int], int], val_up: Callable[[int], int], n: int, step: int, ks: Sequence[int]
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Check v(-n,k) + v(-n,k-step) = v(-n+step,k) for k in ks, where
+    val_n and val_up look up v(-n, .) and v(-n+step, .): the number of
+    k checked, and (k, lhs, rhs) for each k where the sides differ.
+
+    The single input (n, k) = (step, 0) is left out: there the k-step
+    term is read from the expansion at infinity, whose support reaches
+    -step only when n = step, while the right side degenerates to
+    v(0, .).  Each one-sided expansion satisfies the recurrence;
+    splicing them double counts at exactly that point.
+    """
+    if n == step:
+        ks = [k for k in ks if k]
+    lhs = [val_n(k) + val_n(k - step) for k in ks]
+    rhs = [val_up(k) for k in ks]
+    if lhs == rhs:
+        return len(ks), []
+    return len(ks), [(k, l, r) for k, l, r in zip(ks, lhs, rhs) if l != r]
 
 
 def check_symmetry(
@@ -198,30 +178,21 @@ def check_pascal(
     """binom(-n,k)_b + binom(-n,k-1)_b = binom(-n+1,k)_b for b not
     dividing n.
 
-    The single input (n, k) = (1, 0) is skipped: there the k-1 term is
-    read from the expansion at infinity, whose support reaches -1 only
-    when n = 1, while the right side degenerates to binom(0, .).  Each
-    one-sided expansion satisfies the recurrence; splicing them double
-    counts at exactly that point.
+    The single input (n, k) = (1, 0), where the two one-sided
+    expansions splice (see _pascal_step), is counted as skipped.
     """
     failures: list[Witness] = []
     checked = skipped = 0
+    ks = range(-k_max, k_max + 1)
     for b in bases:
         span = k_max + 1
         for n in range(1, n_max + 1):
             if n % b == 0:
                 continue
-            val_n = _fn(-n, b, span)
-            val_up = _fn(-n + 1, b, span)
-            for k in range(-k_max, k_max + 1):
-                if n == 1 and k == 0:
-                    skipped += 1
-                    continue
-                lhs = val_n(k) + val_n(k - 1)
-                rhs = val_up(k)
-                checked += 1
-                if lhs != rhs:
-                    failures.append(Witness((b, n, k), lhs, rhs))
+            count, diffs = _pascal_step(_fn(-n, b, span), _fn(-n + 1, b, span), n, 1, ks)
+            checked += count
+            skipped += len(ks) - count
+            failures += [Witness((b, n, k), lhs, rhs) for k, lhs, rhs in diffs]
     return IdentityReport(
         "pascal",
         f"b in {_fmt(bases)}, n in [1,{n_max}] with b∤n, |k| <= {k_max}",
@@ -242,6 +213,7 @@ def check_pascal_power(
     """
     failures: list[Witness] = []
     checked = skipped = 0
+    ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(1, n_max + 1):
             val_n = None
@@ -252,16 +224,10 @@ def check_pascal_power(
                 span = k_max + step
                 if val_n is None:
                     val_n = _fn(-n, b, span)
-                val_up = _fn(-n + step, b, span)
-                for k in range(-k_max, k_max + 1):
-                    if n == step and k == 0:
-                        skipped += 1
-                        continue
-                    lhs = val_n(k) + val_n(k - step)
-                    rhs = val_up(k)
-                    checked += 1
-                    if lhs != rhs:
-                        failures.append(Witness((b, n, s, k), lhs, rhs))
+                count, diffs = _pascal_step(val_n, _fn(-n + step, b, span), n, step, ks)
+                checked += count
+                skipped += len(ks) - count
+                failures += [Witness((b, n, s, k), lhs, rhs) for k, lhs, rhs in diffs]
     return IdentityReport(
         "pascal-power",
         f"b in {_fmt(bases)}, n in [1,{n_max}], s over nonzero digits, |k| <= {k_max}",
@@ -552,33 +518,31 @@ def check_star_pascal(
 ) -> IdentityReport:
     """star(-n,k) + star(-n,k-1) = star(-n+1,k) for positive n, k with
     b∤n and b∤k."""
-    return _alt_pascal(_star0, "star-pascal", bases, n_max, k_max)
+    return _alt_pascal("star", bases, n_max, k_max)
 
 
 def check_dstar_pascal(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 200, k_max: int = 200
 ) -> IdentityReport:
     """Same recurrence for the digit-sum coefficient."""
-    return _alt_pascal(_dstar0, "dstar-pascal", bases, n_max, k_max)
+    return _alt_pascal("dstar", bases, n_max, k_max)
 
 
-def _alt_pascal(fn, identity_id, bases, n_max, k_max) -> IdentityReport:
+def _alt_pascal(variant, bases, n_max, k_max, sign=1) -> IdentityReport:
+    # the step-one recurrence for a star variant at sign*k, k in [1,k_max]
     failures: list[Witness] = []
     checked = 0
     for b in bases:
+        ks = [sign * k for k in range(1, k_max + 1) if k % b]
         for n in range(1, n_max + 1):
             if n % b == 0:
                 continue
-            for k in range(1, k_max + 1):
-                if k % b == 0:
-                    continue
-                lhs = fn(-n, k, b) + fn(-n, k - 1, b)
-                rhs = fn(-n + 1, k, b)
-                checked += 1
-                if lhs != rhs:
-                    failures.append(Witness((b, n, k), lhs, rhs))
+            val_n, val_up = _variant_fn(variant, -n, b), _variant_fn(variant, -n + 1, b)
+            count, diffs = _pascal_step(val_n, val_up, n, 1, ks)
+            checked += count
+            failures += [Witness((b, n, k), lhs, rhs) for k, lhs, rhs in diffs]
     return IdentityReport(
-        identity_id,
+        f"{variant}-pascal",
         f"b in {_fmt(bases)}, n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k",
         checked,
         tuple(failures),
@@ -592,18 +556,7 @@ def find_star_negative_defects(base: int = 4, n_max: int = 10, k_max: int = 19) 
     star(-n,-k) + star(-n,-k-1) != star(-n+1,-k).  Nonempty: the
     recurrence genuinely fails off the positive-k quadrant.
     """
-    out = []
-    for n in range(1, n_max + 1):
-        if n % base == 0:
-            continue
-        for k in range(1, k_max + 1):
-            if k % base == 0:
-                continue
-            lhs = _star0(-n, -k, base) + _star0(-n, -k - 1, base)
-            rhs = _star0(-n + 1, -k, base)
-            if lhs != rhs:
-                out.append(Witness((base, n, -k), lhs, rhs))
-    return out
+    return list(_alt_pascal("star", (base,), n_max, k_max, sign=-1).failures)
 
 
 def check_cross_oracle(
@@ -638,18 +591,16 @@ def pascal_defect_matrix(
 ) -> DefectMatrix:
     """Matrix of v(-n,-k) + v(-n,-k-1) - v(-n+1,-k) over n, k >= 1,
     where v is the chosen coefficient (std, star, or dstar)."""
-    fns = {"std": lambda n, k, b: bary_binom(n, k, b), "star": _star0, "dstar": _dstar0}
-    if variant not in fns:
+    if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    fn = fns[variant]
-    rows = tuple(
-        tuple(
-            fn(-n, -k, base) + fn(-n, -k - 1, base) - fn(-n + 1, -k, base)
-            for k in range(1, k_max + 1)
-        )
-        for n in range(1, n_max + 1)
-    )
-    return DefectMatrix(n_max, k_max, rows)
+    ks = range(-1, -k_max - 1, -1)
+    rows = []
+    for n in range(1, n_max + 1):
+        val_n, val_up = _variant_fn(variant, -n, base), _variant_fn(variant, -n + 1, base)
+        _, diffs = _pascal_step(val_n, val_up, n, 1, ks)
+        defects = {k: lhs - rhs for k, lhs, rhs in diffs}
+        rows.append(tuple(defects.get(k, 0) for k in ks))
+    return DefectMatrix(n_max, k_max, tuple(rows))
 
 
 def table1_matrix() -> DefectMatrix:
@@ -667,24 +618,23 @@ def _fmt(values: Iterable[int]) -> str:
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """One registered sweep: the check plus its fan-out axis, so a
-    driver can split work across processes by axis value."""
+    """One registered sweep.  Its check sweeps either bases or primes;
+    a driver reads which, and which bounds it takes, off the signature
+    of func."""
 
     func: Callable[..., IdentityReport]
-    axis: str
-    axis_values: tuple[int, ...]
 
 
 SUITES: dict[str, SuiteSpec] = {
-    "symmetry": SuiteSpec(check_symmetry, "bases", (2, 3, 4, 5, 6)),
-    "pascal": SuiteSpec(check_pascal, "bases", (2, 3, 4, 5, 6)),
-    "pascal-power": SuiteSpec(check_pascal_power, "bases", (2, 3, 4, 5)),
-    "prop33": SuiteSpec(check_prop33, "bases", (2, 3, 4)),
-    "chu-neg": SuiteSpec(check_chu_negative, "bases", (2, 3, 4, 5, 6)),
-    "chu-mixed": SuiteSpec(check_chu_mixed, "bases", (2, 3, 4, 5, 6)),
-    "lucas": SuiteSpec(check_lucas, "primes", (2, 3, 5, 7)),
-    "aggregation": SuiteSpec(check_digit_sum_aggregation, "bases", (2, 3, 4, 5, 6)),
-    "star-pascal": SuiteSpec(check_star_pascal, "bases", (2, 3, 4, 5, 6)),
-    "dstar-pascal": SuiteSpec(check_dstar_pascal, "bases", (2, 3, 4, 5, 6)),
-    "cross-oracle": SuiteSpec(check_cross_oracle, "bases", (2, 3, 4, 5, 6)),
+    "symmetry": SuiteSpec(check_symmetry),
+    "pascal": SuiteSpec(check_pascal),
+    "pascal-power": SuiteSpec(check_pascal_power),
+    "prop33": SuiteSpec(check_prop33),
+    "chu-neg": SuiteSpec(check_chu_negative),
+    "chu-mixed": SuiteSpec(check_chu_mixed),
+    "lucas": SuiteSpec(check_lucas),
+    "aggregation": SuiteSpec(check_digit_sum_aggregation),
+    "star-pascal": SuiteSpec(check_star_pascal),
+    "dstar-pascal": SuiteSpec(check_dstar_pascal),
+    "cross-oracle": SuiteSpec(check_cross_oracle),
 }

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -169,7 +171,7 @@ def test_verify_output_is_deterministic(capsys):
 
 
 def test_worker_fanout_matches_serial_output(capsys, monkeypatch):
-    argv = ("verify", "--suite", "symmetry", "--nmax", "6", "--kmax", "12")
+    argv = ("verify", "--suite", "all", "--nmax", "6", "--kmax", "12")
     serial = run(capsys, *argv)
     monkeypatch.setenv("BARYBINOM_WORKERS", "3")
     fanned = run(capsys, *argv)
@@ -184,7 +186,7 @@ def test_verify_reports_failures_with_witnesses(capsys, monkeypatch):
         return IdentityReport("always-fail", f"b in {bases[0]}", 40, witnesses)
 
     monkeypatch.setitem(
-        identities.SUITES, "always-fail", SuiteSpec(broken, "bases", (2,))
+        identities.SUITES, "always-fail", SuiteSpec(broken)
     )
     code, out, err = run(capsys, "verify", "--suite", "always-fail")
     assert code == 1
@@ -249,8 +251,8 @@ def test_verify_rejects_empty_sweeps_and_composite_primes(capsys):
     assert {row[1].split(",")[0] for row in rows} <= {"b in 2", "p in 2"}
 
 
-def test_worker_pool_is_clamped_to_the_number_of_slices(capsys, monkeypatch):
-    # a stand-in executor records the pool size and runs slices in order,
+def test_worker_pool_is_clamped_to_the_number_of_suites(capsys, monkeypatch):
+    # a stand-in executor records the pool size and runs suites in order,
     # so no process is started
     sizes = []
 
@@ -264,14 +266,24 @@ def test_worker_pool_is_clamped_to_the_number_of_slices(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("BARYBINOM_WORKERS", "64")
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "3", "--kmax", "3")
+    assert code == 0
+    assert len(out.splitlines()) == len(identities.SUITES) + 1
+    assert sizes == [len(identities.SUITES)]
+    # a one-suite run is one process
     code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--nmax", "3", "--kmax", "3")
     assert code == 0
-    assert sizes == [len(identities.SUITES["symmetry"].axis_values)]
+    assert sizes == [len(identities.SUITES)]
+    # an empty sweep is still a usage error when the suites ran in the pool
+    code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert sizes == [len(identities.SUITES)] * 2
 
 
 def test_unknown_suite_is_an_argparse_error(capsys):
@@ -281,9 +293,6 @@ def test_unknown_suite_is_an_argparse_error(capsys):
 
 
 def test_module_entry_point_runs():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "barybinom", "binom", "--base", "4",
          "--n", "-6", "--k", "7"],
@@ -292,3 +301,20 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-4\n"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader takes two lines and closes the pipe, as `| head -2` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "barybinom", "expand", "--base", "2", "--n", "-5",
+         "--at", "zero", "--order", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert lines == [b"exponent\tcoefficient\n", b"0\t1\n"]
+    assert b"Traceback" not in err
