@@ -204,7 +204,12 @@ def cmd_verify(args) -> int:
     for option, param in _PARAMS.items():
         if getattr(args, option) is not None and not any(param in kw for kw in calls):
             raise ValueError(f"--{option} is not taken by suite {args.suite}")
-    workers = min(int(os.environ.get("BARYBINOM_WORKERS", "1")), len(names))
+    raw = os.environ.get("BARYBINOM_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"BARYBINOM_WORKERS must be an integer, got {raw!r}") from None
+    workers = min(workers, len(names))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_suite, names, calls))

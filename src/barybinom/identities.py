@@ -1,26 +1,33 @@
 """Sweep-based verification of the identities the coefficients satisfy.
 
-Every check_* function sweeps an explicit finite domain, compares both
-sides of one identity with exact integer arithmetic, and returns an
-IdentityReport carrying any counterexample witnesses.  Sweep defaults
-are sized so the whole registry runs in well under a minute.
+Every check_* function sweeps an explicit finite domain, compares two
+rows at a time (the two sides of one identity over a list of k) with
+exact integer arithmetic, and returns an IdentityReport carrying any
+counterexample witnesses.  For n < 0 a row reads one of three sources
+(see _row), and which source each side reads is the point of a check:
+
+- pascal, pascal-power, prop33 and lucas: the shift-subtract kernel;
+- symmetry: the kernel against the partition sum at the mirror index;
+- cross-oracle: the series expansion against the partition sum;
+- chu-neg and chu-mixed: products of kernel tables against the kernel
+  on the zero side and the partition sum on the infinity side.
+
+Sweep defaults are sized so the whole registry runs in well under a
+minute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .altdefs import dstar_binom, star_binom
-from .bary import (
-    bary_binom,
-    bary_binom_series,
-    partition_value_table,
-    shift_subtract_table,
-)
+from .bary import bary_binom, partition_value_table, shift_subtract_table
 from .classic import classic_binom
 from .digits import digit_sum, to_digits
+from .series import ExpansionPoint, gf_expand
 
 # check_lucas reads its grid of about 29,000 keys past the cache (the
 # lru_cache's __wrapped__), so the cache keeps the digit-sized keys the
@@ -48,6 +55,29 @@ class IdentityReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+class _Tally:
+    """The checked and skipped counts and the witnesses of one sweep."""
+
+    def __init__(self):
+        self.checked = self.skipped = 0
+        self.failures: list[Witness] = []
+
+    def compare(self, key: tuple, ks: Sequence[int], lhs: list[int], rhs: list[int], tag=()):
+        """Tally len(ks) cases, where lhs[i] and rhs[i] are the two sides
+        at ks[i], with a Witness(key + (k,) + tag, lhs, rhs) for each k
+        where they differ.  Comparing the whole lists first keeps the
+        all-equal case out of the interpreter loop."""
+        self.checked += len(ks)
+        if lhs != rhs:
+            self.failures += [
+                Witness(key + (k,) + tag, l, r) for k, l, r in zip(ks, lhs, rhs) if l != r
+            ]
+
+    def report(self, identity_id: str, domain: str) -> IdentityReport:
+        failures = tuple(self.failures)
+        return IdentityReport(identity_id, domain, self.checked, failures, self.skipped)
 
 
 @dataclass(frozen=True)
@@ -79,68 +109,70 @@ def carry_free(n: int, m: int, b: int) -> bool:
     return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
-def _kernel_sides(n: int, b: int, span: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # f_|n| is palindromic: one table serves both expansion points
-    table = shift_subtract_table(n, b, span)
-    return table, table
+# Each source of binom(n, .)_b for n < 0, as its zero-side table and its
+# infinity-side table, each indexed from the start of its support and
+# covering at least span + 1 entries.  The lambdas look their functions
+# up as module globals at call time, so a patched module attribute is
+# what a sweep reads.
+_SIDES = {
+    # f_|n| is palindromic: one kernel table serves both expansion points
+    "kernel": lambda n, b, span: (shift_subtract_table(n, b, span),) * 2,
+    "partition": lambda n, b, span: (
+        partition_value_table(n, b, False, span),
+        partition_value_table(n, b, True, span),
+    ),
+    "series": lambda n, b, span: tuple(
+        gf_expand(n, b, point, span + 1).coeffs for point in ExpansionPoint
+    ),
+}
 
 
-def _partition_sides(n: int, b: int, span: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return partition_value_table(n, b, False, span), partition_value_table(n, b, True, span)
+def _row(n: int, b: int, ks: Sequence[int], source: str = "kernel") -> list[int]:
+    """binom(n, k)_b for every k in ks, in order.
 
-
-def _fn(n: int, b: int, span: int, sides=_kernel_sides) -> Callable[[int], int]:
-    # point lookup binom(n, .)_b, table-backed for n < 0; sides gives the
-    # zero-side table and the infinity-side table indexed from the start
-    # of the support; span must bound |k| over every call the caller
-    # will make
+    n >= 0 reads the digit product.  n < 0 reads one pair of tables
+    from source at the least span that covers ks: entry k on the zero
+    side for k >= 0, entry n - k on the infinity side for k <= n, and 0
+    in the band n < k < 0.
+    """
     if n >= 0:
-        return lambda k, n=n, b=b: bary_binom(n, k, b)
-    zero, inf = sides(n, b, span)
-    size = -n
-
-    def val(k: int) -> int:
-        if k >= 0:
-            return zero[k]
-        r = -k - size
-        return inf[r] if r >= 0 else 0
-
-    return val
+        return [bary_binom(n, k, b) for k in ks]
+    if not ks:
+        return []
+    zero, inf = _SIDES[source](n, b, max(0, max(ks), n - min(ks)))
+    return [zero[k] if k >= 0 else inf[n - k] if k <= n else 0 for k in ks]
 
 
 _VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
 
 
-def _variant_fn(variant: str, n: int, b: int) -> Callable[[int], int]:
-    # point lookup v(n, .)_b for a coefficient variant; star and dstar
-    # extend to n = 0, where the digit product degenerates to the empty
-    # product: 1 at k = 0, else 0 (some digit of k exceeds 0)
-    if n == 0:
-        return lambda k: int(k == 0)
-    coeff = _VARIANTS[variant]
-    return lambda k: coeff(n, k, b)
-
-
 def _pascal_step(
-    val_n: Callable[[int], int], val_up: Callable[[int], int], n: int, step: int, ks: Sequence[int]
-) -> tuple[int, list[tuple[int, int, int]]]:
-    """Check v(-n,k) + v(-n,k-step) = v(-n+step,k) for k in ks, where
-    val_n and val_up look up v(-n, .) and v(-n+step, .): the number of
-    k checked, and (k, lhs, rhs) for each k where the sides differ.
+    t: _Tally, key: tuple, variant: str, b: int, n: int, step: int, ks: Sequence[int]
+) -> None:
+    """Check v(-n,k) + v(-n,k-step) = v(-n+step,k) for k in ks, where v
+    is the coefficient variant (std reads the kernel), tallied into t
+    with witness inputs key + (k,).
 
-    The single input (n, k) = (step, 0) is left out: there the k-step
-    term is read from the expansion at infinity, whose support reaches
-    -step only when n = step, while the right side degenerates to
-    v(0, .).  Each one-sided expansion satisfies the recurrence;
-    splicing them double counts at exactly that point.
+    The single input (n, k) = (step, 0) is left out and counted as
+    skipped: there the k-step term is read from the expansion at
+    infinity, whose support reaches -step only when n = step, while the
+    right side degenerates to v(0, .).  Each one-sided expansion
+    satisfies the recurrence; splicing them double counts at exactly
+    that point.
     """
-    if n == step:
+
+    def row(m: int, ks: Sequence[int]) -> list[int]:
+        # star and dstar extend to m = 0 as the empty digit product: 1 at
+        # k = 0, else 0, which is binom(0, .)_b
+        if variant == "std" or m == 0:
+            return _row(m, b, ks)
+        return [_VARIANTS[variant](m, k, b) for k in ks]
+
+    if n == step and 0 in ks:
         ks = [k for k in ks if k]
-    lhs = [val_n(k) + val_n(k - step) for k in ks]
-    rhs = [val_up(k) for k in ks]
-    if lhs == rhs:
-        return len(ks), []
-    return len(ks), [(k, l, r) for k, l, r in zip(ks, lhs, rhs) if l != r]
+        t.skipped += 1
+    lhs = list(map(add, row(-n, ks), row(-n, [k - step for k in ks])))
+    t.compare(key, ks, lhs, row(-n + step, ks))
 
 
 def check_symmetry(
@@ -152,24 +184,13 @@ def check_symmetry(
     side the partition sum, so the kernel's palindrome is never compared
     with itself.
     """
-    failures: list[Witness] = []
-    checked = 0
+    t = _Tally()
+    ks = range(-k_max, k_max + 1)
     for b in bases:
-        span = n_max + k_max
         for n in range(-n_max, n_max + 1):
-            val = _fn(n, b, span)
-            mirror = _fn(n, b, span, _partition_sides)
-            for k in range(-k_max, k_max + 1):
-                lhs, rhs = val(k), mirror(n - k)
-                checked += 1
-                if lhs != rhs:
-                    failures.append(Witness((b, n, k), lhs, rhs))
-    return IdentityReport(
-        "symmetry",
-        f"b in {_fmt(bases)}, |n| <= {n_max}, |k| <= {k_max}",
-        checked,
-        tuple(failures),
-    )
+            mirror = _row(n, b, [n - k for k in ks], "partition")
+            t.compare((b, n), ks, _row(n, b, ks), mirror)
+    return t.report("symmetry", f"b in {_fmt(bases)}, |n| <= {n_max}, |k| <= {k_max}")
 
 
 def check_pascal(
@@ -181,25 +202,13 @@ def check_pascal(
     The single input (n, k) = (1, 0), where the two one-sided
     expansions splice (see _pascal_step), is counted as skipped.
     """
-    failures: list[Witness] = []
-    checked = skipped = 0
+    t = _Tally()
     ks = range(-k_max, k_max + 1)
     for b in bases:
-        span = k_max + 1
         for n in range(1, n_max + 1):
-            if n % b == 0:
-                continue
-            count, diffs = _pascal_step(_fn(-n, b, span), _fn(-n + 1, b, span), n, 1, ks)
-            checked += count
-            skipped += len(ks) - count
-            failures += [Witness((b, n, k), lhs, rhs) for k, lhs, rhs in diffs]
-    return IdentityReport(
-        "pascal",
-        f"b in {_fmt(bases)}, n in [1,{n_max}] with b∤n, |k| <= {k_max}",
-        checked,
-        tuple(failures),
-        skipped,
-    )
+            if n % b:
+                _pascal_step(t, (b, n), "std", b, n, 1, ks)
+    return t.report("pascal", f"b in {_fmt(bases)}, n in [1,{n_max}] with b∤n, |k| <= {k_max}")
 
 
 def check_pascal_power(
@@ -211,29 +220,16 @@ def check_pascal_power(
     Skips (n, k) = (b^s, 0) for the same branch-splice reason as the
     step-one recurrence: it is the s = 0 exception rescaled.
     """
-    failures: list[Witness] = []
-    checked = skipped = 0
+    t = _Tally()
     ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(1, n_max + 1):
-            val_n = None
             for s, d in enumerate(to_digits(n, b)):
-                if d == 0:
-                    continue
-                step = b**s
-                span = k_max + step
-                if val_n is None:
-                    val_n = _fn(-n, b, span)
-                count, diffs = _pascal_step(val_n, _fn(-n + step, b, span), n, step, ks)
-                checked += count
-                skipped += len(ks) - count
-                failures += [Witness((b, n, s, k), lhs, rhs) for k, lhs, rhs in diffs]
-    return IdentityReport(
+                if d:
+                    _pascal_step(t, (b, n, s), "std", b, n, b**s, ks)
+    return t.report(
         "pascal-power",
         f"b in {_fmt(bases)}, n in [1,{n_max}], s over nonzero digits, |k| <= {k_max}",
-        checked,
-        tuple(failures),
-        skipped,
     )
 
 
@@ -252,36 +248,25 @@ def check_prop33(
     prod_{l=m}^{s-1} (1+x^{b^l})^{b-1}, whose constant term is 1.
     k_max is the width of the swept window past each branch point.
     """
-    failures: list[Witness] = []
-    checked = 0
+    t = _Tally()
     for b in bases:
         for n in range(b, n_max + 1, b):
             s = next(i for i, d in enumerate(to_digits(n, b)) if d)
             bs = b**s
-            span = n + bs + k_max
-            lhs_val = _fn(-n + bs, b, span)
             for m in range(s):
                 bm = b**m
-                weights = [
-                    (j, bary_binom(bs - bm, j, b)) for j in range(0, bs + 1, bm)
-                ]
-                weights = [(j, w) for j, w in weights if w]
-                rhs_val = _fn(-n + bm, b, span)
-                k_window = list(range(bs, bs + k_max + 1)) + list(
-                    range(-n + bm - k_max, -n + bm + 1)
-                )
-                for k in k_window:
-                    rhs = sum(w * rhs_val(k - j) for j, w in weights)
-                    lhs = lhs_val(k)
-                    checked += 1
-                    if lhs != rhs:
-                        failures.append(Witness((b, n, s, m, k), lhs, rhs))
-    return IdentityReport(
+                ks = [*range(bs, bs + k_max + 1), *range(-n + bm - k_max, -n + bm + 1)]
+                rhs = [0] * len(ks)
+                for j in range(0, bs + 1, bm):
+                    w = bary_binom(bs - bm, j, b)
+                    if w:
+                        term = _row(-n + bm, b, [k - j for k in ks])
+                        rhs = [r + w * v for r, v in zip(rhs, term)]
+                t.compare((b, n, s, m), ks, _row(-n + bs, b, ks), rhs)
+    return t.report(
         "prop33",
         f"b in {_fmt(bases)}, n multiples of b up to {n_max}, all (s,m), "
         f"k windows of width {k_max}",
-        checked,
-        tuple(failures),
     )
 
 
@@ -339,14 +324,6 @@ def _chu_tables(b: int, span: int, k_max: int) -> tuple[_Tables, _Tables]:
     return kernel, at_inf
 
 
-def _mismatches(lhs: list[int], rhs: list[int], ks: range) -> list[int]:
-    # indices in ks where the two sides differ; comparing slices keeps
-    # the all-equal case out of the interpreter loop
-    if not ks or lhs[ks.start : ks.stop] == rhs[ks.start : ks.stop]:
-        return []
-    return [k for k in ks if lhs[k] != rhs[k]]
-
-
 def check_chu_negative(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 60, k_max: int = 120
 ) -> IdentityReport:
@@ -368,29 +345,22 @@ def check_chu_negative(
     at most n_max + 1 kernel and partition tables of at most
     k_max + 1 entries, freed when the base ends.
     """
-    failures: list[Witness] = []
-    checked = skipped = 0
+    t = _Tally()
     for b in bases:
         kernel, at_inf = _chu_tables(b, k_max, k_max)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
                 if not carry_free(n, m, b):
-                    skipped += 1
+                    t.skipped += 1
                     continue
                 conv = _convolve(kernel[n], kernel[m], k_max + 1)
-                zero, lhs = range(m, k_max + 1), kernel[n + m]
-                for k in _mismatches(lhs, conv, zero):
-                    failures.append(Witness((b, n, m, k, "zero"), lhs[k], conv[k]))
-                inf, lhs = range(k_max - n - m + 1), at_inf[n + m]
-                for r in _mismatches(lhs, conv, inf):
-                    failures.append(Witness((b, n, m, -(r + n + m), "infinity"), lhs[r], conv[r]))
-                checked += len(zero) + len(inf)
-    return IdentityReport(
-        "chu-neg",
-        f"b in {_fmt(bases)}, carry-free pairs with n+m <= {n_max}, k <= {k_max}",
-        checked,
-        tuple(failures),
-        skipped,
+                t.compare((b, n, m), range(m, k_max + 1), kernel[n + m][m:], conv[m:], ("zero",))
+                # infinity side: entry r is k = -(r + n + m)
+                inf = range(-(n + m), -k_max - 1, -1)
+                lhs = at_inf[n + m][: len(inf)]
+                t.compare((b, n, m), inf, lhs, conv[: len(inf)], ("infinity",))
+    return t.report(
+        "chu-neg", f"b in {_fmt(bases)}, carry-free pairs with n+m <= {n_max}, k <= {k_max}"
     )
 
 
@@ -421,42 +391,28 @@ def check_chu_mixed(
     and rows, each of at most max(n_max, k_max) + 1 entries, freed when
     the base ends.
     """
-    failures: list[Witness] = []
-    checked = skipped = 0
+    t, size = _Tally(), k_max + 1
     for b in bases:
         kernel, at_inf = _chu_tables(b, max(n_max, k_max), k_max)
-        row = _Tables(lambda s, b=b: [bary_binom(s, i, b) for i in range(s + 1)])
+        row = _Tables(lambda s, b=b: _row(s, b, range(s + 1)))
         for n in range(2, n_max + 1):
             d_n = row[n]
             for m in range(1, n):
                 if not carry_free(m, n - m, b):
-                    skipped += 1
+                    t.skipped += 1
                     continue
-                pos, lhs = range(n - m + 1), row[n - m]
-                j_form = _convolve(d_n, kernel[m], len(pos))
+                key, pos, lhs = (b, n, m), range(n - m + 1), row[n - m]
+                t.compare(key, pos, lhs, _convolve(d_n, kernel[m], len(pos)), ("pos-j",))
                 s_form = _convolve(d_n[::-1], kernel[m], len(pos))[::-1]
-                if lhs != j_form or lhs != s_form:
-                    for k in pos:
-                        if lhs[k] != j_form[k]:
-                            failures.append(Witness((b, n, m, k, "pos-j"), lhs[k], j_form[k]))
-                        if lhs[k] != s_form[k]:
-                            failures.append(Witness((b, n, m, k, "pos-s"), lhs[k], s_form[k]))
-                neg = range(k_max + 1)
-                conv = _convolve(kernel[n], row[m], len(neg))
-                lhs = kernel[n - m]
-                for k in _mismatches(lhs, conv, neg):
-                    failures.append(Witness((b, n, m, k, "neg-zero"), lhs[k], conv[k]))
-                conv = _convolve(kernel[n], row[m][::-1], len(neg))
-                lhs = at_inf[n - m]
-                for r in _mismatches(lhs, conv, neg):
-                    failures.append(Witness((b, n, m, -(r + n - m), "neg-inf"), lhs[r], conv[r]))
-                checked += 2 * len(pos) + 2 * len(neg)
-    return IdentityReport(
-        "chu-mixed",
-        f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}",
-        checked,
-        tuple(failures),
-        skipped,
+                t.compare(key, pos, lhs, s_form, ("pos-s",))
+                conv = _convolve(kernel[n], row[m], size)
+                t.compare(key, range(size), kernel[n - m][:size], conv, ("neg-zero",))
+                # infinity side: entry r is k = -(r + n - m)
+                conv = _convolve(kernel[n], row[m][::-1], size)
+                inf = range(-(n - m), -(n - m) - size, -1)
+                t.compare(key, inf, at_inf[n - m], conv, ("neg-inf",))
+    return t.report(
+        "chu-mixed", f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}"
     )
 
 
@@ -465,23 +421,13 @@ def check_lucas(
 ) -> IdentityReport:
     """classic_binom(n,k) = binom(n,k)_p (mod p) over all four sign
     quadrants; residues compare in [0, p)."""
-    failures: list[Witness] = []
-    checked = 0
+    t = _Tally()
+    ks = range(-k_max, k_max + 1)
     for p in primes:
         for n in range(-n_max, n_max + 1):
-            val = _fn(n, p, k_max)
-            for k in range(-k_max, k_max + 1):
-                lhs = _classic_uncached(n, k) % p
-                rhs = val(k) % p
-                checked += 1
-                if lhs != rhs:
-                    failures.append(Witness((p, n, k), lhs, rhs))
-    return IdentityReport(
-        "lucas",
-        f"p in {_fmt(primes)}, |n| <= {n_max}, |k| <= {k_max}",
-        checked,
-        tuple(failures),
-    )
+            lhs = [_classic_uncached(n, k) % p for k in ks]
+            t.compare((p, n), ks, lhs, [v % p for v in _row(n, p, ks)])
+    return t.report("lucas", f"p in {_fmt(primes)}, |n| <= {n_max}, |k| <= {k_max}")
 
 
 def check_digit_sum_aggregation(
@@ -491,26 +437,17 @@ def check_digit_sum_aggregation(
     S_b(k) = j, for positive n.  A nonzero binom(n,k)_b forces k's
     digits below n's, so no digit sum outside [0, S_b(n)] contributes.
     """
-    failures: list[Witness] = []
-    checked = 0
+    t = _Tally()
     for b in bases:
         for n in range(1, n_max + 1):
             total = digit_sum(n, b)
             sums = [0] * (total + 1)
-            for k in range(n + 1):
-                v = bary_binom(n, k, b)
+            for k, v in enumerate(_row(n, b, range(n + 1))):
                 if v:
                     sums[digit_sum(k, b)] += v
-            for j in range(total + 1):
-                checked += 1
-                if sums[j] != comb(total, j):
-                    failures.append(Witness((b, n, j), comb(total, j), sums[j]))
-    return IdentityReport(
-        "aggregation",
-        f"b in {_fmt(bases)}, n in [1,{n_max}], all j",
-        checked,
-        tuple(failures),
-    )
+            js = range(total + 1)
+            t.compare((b, n), js, [comb(total, j) for j in js], sums)
+    return t.report("aggregation", f"b in {_fmt(bases)}, n in [1,{n_max}], all j")
 
 
 def check_star_pascal(
@@ -530,23 +467,14 @@ def check_dstar_pascal(
 
 def _alt_pascal(variant, bases, n_max, k_max, sign=1) -> IdentityReport:
     # the step-one recurrence for a star variant at sign*k, k in [1,k_max]
-    failures: list[Witness] = []
-    checked = 0
+    t = _Tally()
     for b in bases:
         ks = [sign * k for k in range(1, k_max + 1) if k % b]
         for n in range(1, n_max + 1):
-            if n % b == 0:
-                continue
-            val_n, val_up = _variant_fn(variant, -n, b), _variant_fn(variant, -n + 1, b)
-            count, diffs = _pascal_step(val_n, val_up, n, 1, ks)
-            checked += count
-            failures += [Witness((b, n, k), lhs, rhs) for k, lhs, rhs in diffs]
-    return IdentityReport(
-        f"{variant}-pascal",
-        f"b in {_fmt(bases)}, n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k",
-        checked,
-        tuple(failures),
-    )
+            if n % b:
+                _pascal_step(t, (b, n), variant, b, n, 1, ks)
+    domain = f"b in {_fmt(bases)}, n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k"
+    return t.report(f"{variant}-pascal", domain)
 
 
 def find_star_negative_defects(base: int = 4, n_max: int = 10, k_max: int = 19) -> list[Witness]:
@@ -565,25 +493,16 @@ def check_cross_oracle(
     """Series coefficient extraction against the partition sum.
 
     The two methods share only the digit expansion, so agreement over
-    the grid is a strong end-to-end check of both.
+    the grid is a strong end-to-end check of both.  Each n reads one
+    expansion per point, of k_max + 1 terms, and one partition table
+    per side.
     """
-    failures: list[Witness] = []
-    checked = 0
+    t = _Tally()
+    ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(-n_max, 0):
-            val = _fn(n, b, k_max, _partition_sides)
-            for k in range(-k_max, k_max + 1):
-                lhs = bary_binom_series(n, k, b)
-                rhs = val(k)
-                checked += 1
-                if lhs != rhs:
-                    failures.append(Witness((b, n, k), lhs, rhs))
-    return IdentityReport(
-        "cross-oracle",
-        f"b in {_fmt(bases)}, n in [-{n_max},-1], |k| <= {k_max}",
-        checked,
-        tuple(failures),
-    )
+            t.compare((b, n), ks, _row(n, b, ks, "series"), _row(n, b, ks, "partition"))
+    return t.report("cross-oracle", f"b in {_fmt(bases)}, n in [-{n_max},-1], |k| <= {k_max}")
 
 
 def pascal_defect_matrix(
@@ -593,13 +512,12 @@ def pascal_defect_matrix(
     where v is the chosen coefficient (std, star, or dstar)."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    t = _Tally()
     ks = range(-1, -k_max - 1, -1)
-    rows = []
     for n in range(1, n_max + 1):
-        val_n, val_up = _variant_fn(variant, -n, base), _variant_fn(variant, -n + 1, base)
-        _, diffs = _pascal_step(val_n, val_up, n, 1, ks)
-        defects = {k: lhs - rhs for k, lhs, rhs in diffs}
-        rows.append(tuple(defects.get(k, 0) for k in ks))
+        _pascal_step(t, (n,), variant, base, n, 1, ks)
+    defects = {w.inputs: w.lhs - w.rhs for w in t.failures}
+    rows = [tuple(defects.get((n, k), 0) for k in ks) for n in range(1, n_max + 1)]
     return DefectMatrix(n_max, k_max, tuple(rows))
 
 

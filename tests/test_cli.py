@@ -179,6 +179,15 @@ def test_worker_fanout_matches_serial_output(capsys, monkeypatch):
     assert serial[0] == 0
 
 
+def test_malformed_worker_count_is_a_usage_error_naming_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("BARYBINOM_WORKERS", "abc")
+    code, out, err = run(
+        capsys, "verify", "--suite", "lucas", "--prime", "3", "--nmax", "2", "--kmax", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: BARYBINOM_WORKERS must be an integer, got 'abc'\n"
+
+
 def test_verify_reports_failures_with_witnesses(capsys, monkeypatch):
     witnesses = tuple(Witness((2, i, 0), 0, 1) for i in range(MAX_WITNESS_LINES + 5))
 

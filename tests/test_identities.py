@@ -1,11 +1,13 @@
+import dataclasses
 import inspect
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from barybinom import identities
-from barybinom.bary import bary_binom, shift_subtract_table
+from barybinom.bary import Method, bary_binom, shift_subtract_table
 from barybinom.classic import classic_binom
+from barybinom.series import ExpansionPoint
 from barybinom.identities import (
     SUITES,
     DefectMatrix,
@@ -137,6 +139,76 @@ def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monk
         assert branch in branches
         assert len(branches) > branches.count(branch)
     assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
+
+
+def faulty_partition_table(monkeypatch):
+    # entry 5 of both (-7, 3) partition tables is off by one
+    real = identities.partition_value_table
+
+    def faulty(n, b, negative, limit):
+        table = real(n, b, negative, limit)
+        if (n, b) == (-7, 3):
+            table = table[:5] + (table[5] + 1,) + table[6:]
+        return table
+
+    monkeypatch.setattr(identities, "partition_value_table", faulty)
+
+
+def test_one_wrong_partition_entry_shows_exactly_where_the_partition_sum_is_read(monkeypatch):
+    faulty_partition_table(monkeypatch)
+    assert not check_symmetry(bases=(3,), n_max=12, k_max=24).passed
+    assert not check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
+    for sweep, branch in (
+        (lambda: check_chu_negative(bases=(3,), n_max=14, k_max=28), "infinity"),
+        (lambda: check_chu_mixed(bases=(3,), n_max=14, k_max=28), "neg-inf"),
+    ):
+        failures = sweep().failures
+        assert failures
+        assert {w.inputs[-1] for w in failures} == {branch}
+    for sweep in (
+        lambda: check_pascal(bases=(3,), n_max=12, k_max=24),
+        lambda: check_pascal_power(bases=(3,), n_max=12, k_max=24),
+        lambda: check_lucas(primes=(3,), n_max=10, k_max=20),
+    ):
+        assert sweep().passed
+
+
+def test_one_wrong_series_coefficient_shows_only_in_cross_oracle(monkeypatch):
+    real = identities.gf_expand
+
+    def faulty(n, b, point, order):
+        s = real(n, b, point, order)
+        if (n, b, point) == (-7, 3, ExpansionPoint.AT_ZERO):
+            c = s.coeffs
+            s = dataclasses.replace(s, coeffs=c[:5] + (c[5] + 1,) + c[6:])
+        return s
+
+    monkeypatch.setattr(identities, "gf_expand", faulty)
+    r = check_cross_oracle(bases=(3,), n_max=10, k_max=20)
+    assert [w.inputs for w in r.failures] == [(3, -7, 5)]
+    assert check_symmetry(bases=(3,), n_max=12, k_max=24).passed
+
+
+ROW_METHODS = {"kernel": Method.AUTO, "partition": Method.PARTITION, "series": Method.SERIES}
+
+
+@pytest.mark.parametrize("source", sorted(ROW_METHODS))
+def test_row_matches_the_point_route_of_its_source(source):
+    # the partition route is defined for n < 0 only; every source reads
+    # the digit product for n >= 0
+    ascending = range(-50, 51)
+    for b in range(2, 8):
+        for n in range(-40, 41):
+            method = ROW_METHODS[source] if n < 0 else Method.AUTO
+            for ks in (
+                ascending,
+                [n - k for k in ascending],  # the mirror, descending
+                [],
+                range(n + 1, 0),  # inside the band n < k < 0 only
+                [n - 3],
+            ):
+                want = [bary_binom(n, k, b, method) for k in ks]
+                assert identities._row(n, b, ks, source) == want, (b, n, ks)
 
 
 def test_a_wrong_but_multiplicative_kernel_shows_on_the_infinity_side(monkeypatch):
