@@ -8,7 +8,8 @@ Usage errors include a --prime that is not prime, bounds under which a
 sweep checks no case, a verify option that no selected suite takes
 (--kmax for aggregation, --base for lucas, --prime for a base-swept
 suite; --suite all applies each option to the suites that take it),
-and a request past the size limit: a binom value for n < 0 whose table
+a pascal-defect table with --nmax or --kmax below 1, and a request
+past the size limit: a binom value for n < 0 whose table
 or expansion would need more than MAX_TERMS = 10**6 terms, an expand
 order above it, or a partitions output of more than MAX_TERMS integers
 (tuples times length).  Data goes to stdout, diagnostics to stderr.

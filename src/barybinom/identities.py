@@ -19,8 +19,8 @@ minute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .altdefs import dstar_binom, star_binom
@@ -74,6 +74,19 @@ class _Tally:
             self.failures += [
                 Witness(key + (k,) + tag, l, r) for k, l, r in zip(ks, lhs, rhs) if l != r
             ]
+
+    def compare_packed(self, key, ks, lhs, product, w, tag, reverse=False, size=None) -> None:
+        """compare for ks against slots 0..size-1 (size len(ks) by default)
+        of lhs and product, packed at width w (see _pack): one masked
+        compare, and only on a mismatch are both decoded and their last
+        len(ks) slots, reversed back with reverse, compared for witnesses."""
+        size = len(ks) if size is None else size
+        if not (product - lhs) & ((1 << w * size) - 1):
+            self.checked += len(ks)
+            return
+        window = slice(size - len(ks), None)
+        lhs, rhs = (_unpack(v, w, size)[window][:: -1 if reverse else 1] for v in (lhs, product))
+        self.compare(key, ks, lhs, rhs, (tag,))
 
     def report(self, identity_id: str, domain: str) -> IdentityReport:
         failures = tuple(self.failures)
@@ -146,33 +159,38 @@ def _row(n: int, b: int, ks: Sequence[int], source: str = "kernel") -> list[int]
 _VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
 
 
-def _pascal_step(
-    t: _Tally, key: tuple, variant: str, b: int, n: int, step: int, ks: Sequence[int]
-) -> None:
-    """Check v(-n,k) + v(-n,k-step) = v(-n+step,k) for k in ks, where v
-    is the coefficient variant (std reads the kernel), tallied into t
-    with witness inputs key + (k,).
+def _pascal(t: _Tally, variant: str, b: int, ks: Sequence[int], reach: int = 1) -> Callable:
+    """step(key, n, s) checks v(-n,k) + v(-n,k-s) = v(-n+s,k) for k in ks
+    and 0 < s <= reach, where v is the coefficient variant (std reads
+    the kernel), tallied into t with witness inputs key + (k,).  A
+    sweep walking n upward builds each row of v once: step reads
+    v(-n+s, .) before v(-n, .), and the last two rows are kept.
 
-    The single input (n, k) = (step, 0) is left out and counted as
-    skipped: there the k-step term is read from the expansion at
-    infinity, whose support reaches -step only when n = step, while the
-    right side degenerates to v(0, .).  Each one-sided expansion
-    satisfies the recurrence; splicing them double counts at exactly
-    that point.
+    The single input (n, k) = (s, 0) is left out and counted as
+    skipped: there the k-s term is read from the expansion at infinity,
+    whose support reaches -s only when n = s, while the right side
+    degenerates to v(0, .).  Each one-sided expansion satisfies the
+    recurrence; splicing them double counts at exactly that point.
     """
+    lo = min(ks, default=0) - reach
+    window = range(lo, max(ks, default=0) + 1)
 
-    def row(m: int, ks: Sequence[int]) -> list[int]:
+    @lru_cache(maxsize=2)
+    def row(m: int) -> list[int]:
         # star and dstar extend to m = 0 as the empty digit product: 1 at
         # k = 0, else 0, which is binom(0, .)_b
         if variant == "std" or m == 0:
-            return _row(m, b, ks)
-        return [_VARIANTS[variant](m, k, b) for k in ks]
+            return _row(m, b, window)
+        return [_VARIANTS[variant](m, k, b) for k in window]
 
-    if n == step and 0 in ks:
-        ks = [k for k in ks if k]
-        t.skipped += 1
-    lhs = list(map(add, row(-n, ks), row(-n, [k - step for k in ks])))
-    t.compare(key, ks, lhs, row(-n + step, ks))
+    def step(key: tuple, n: int, s: int) -> None:
+        sub = [k for k in ks if k] if n == s and 0 in ks else ks
+        t.skipped += len(ks) - len(sub)
+        high, low = row(-n + s), row(-n)
+        lhs = [low[k - lo] + low[k - s - lo] for k in sub]
+        t.compare(key, sub, lhs, [high[k - lo] for k in sub])
+
+    return step
 
 
 def check_symmetry(
@@ -200,14 +218,14 @@ def check_pascal(
     dividing n.
 
     The single input (n, k) = (1, 0), where the two one-sided
-    expansions splice (see _pascal_step), is counted as skipped.
+    expansions splice (see _pascal), is counted as skipped.
     """
-    t = _Tally()
-    ks = range(-k_max, k_max + 1)
+    t, ks = _Tally(), range(-k_max, k_max + 1)
     for b in bases:
+        step = _pascal(t, "std", b, ks)
         for n in range(1, n_max + 1):
             if n % b:
-                _pascal_step(t, (b, n), "std", b, n, 1, ks)
+                step((b, n), n, 1)
     return t.report("pascal", f"b in {_fmt(bases)}, n in [1,{n_max}] with b∤n, |k| <= {k_max}")
 
 
@@ -220,13 +238,14 @@ def check_pascal_power(
     Skips (n, k) = (b^s, 0) for the same branch-splice reason as the
     step-one recurrence: it is the s = 0 exception rescaled.
     """
-    t = _Tally()
-    ks = range(-k_max, k_max + 1)
+    t, ks = _Tally(), range(-k_max, k_max + 1)
     for b in bases:
+        # the largest step is the largest power of b up to n_max
+        step = _pascal(t, "std", b, ks, b ** (len(to_digits(max(n_max, 1), b)) - 1))
         for n in range(1, n_max + 1):
             for s, d in enumerate(to_digits(n, b)):
                 if d:
-                    _pascal_step(t, (b, n, s), "std", b, n, b**s, ks)
+                    step((b, n, s), n, b**s)
     return t.report(
         "pascal-power",
         f"b in {_fmt(bases)}, n in [1,{n_max}], s over nonzero digits, |k| <= {k_max}",
@@ -270,58 +289,34 @@ def check_prop33(
     )
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
-    """Coefficients 0..size-1 of the product of the polynomials a and b.
-
-    Kronecker substitution: each operand is packed into one int with a
-    slot of w bytes per coefficient, the two ints are multiplied
-    exactly, and the product's slots are read back.  No coefficient of
-    the product exceeds max|a| * max|b| * min(len(a), len(b)) in
-    magnitude, and w is the least width that holds that bound and every
-    operand coefficient as a signed value.  Every slot is offset by half
-    its range, so each holds a value in [0, 2^(8w)) and no borrow
-    crosses a slot boundary.
-    """
-    a, b = a[:size], b[:size]
-    if size <= 0 or not a or not b:
-        return [0] * max(size, 0)
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    bound = max(top_a * top_b * min(len(a), len(b)), top_a, top_b)
-    w = bound.bit_length() // 8 + 1
-    half = 1 << (8 * w - 1)
-    slot = bytes(w - 1) + b"\x80"  # half, little-endian
-
-    def pack(c: Sequence[int]) -> int:
-        packed = b"".join([(x + half).to_bytes(w, "little") for x in c])
-        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(c), "little")
-
-    product = pack(a) * pack(b) + int.from_bytes(slot * size, "little")
-    data = (product % (1 << (8 * w * size))).to_bytes(w * size, "little")
-    return [int.from_bytes(data[i : i + w], "little") - half for i in range(0, w * size, w)]
+def _pack(c: Sequence[int], w: int) -> int:
+    """The polynomial with coefficients c evaluated at x = 2**w: slot i of
+    w bits holds c[i].  While every coefficient fits a signed slot, the
+    product of two packed lists is their packed product, and two agree
+    in slots 0..size-1 exactly when they agree modulo 2**(w*size)."""
+    return sum(x << w * i for i, x in enumerate(c))
 
 
-class _Tables(dict):
-    """Sweep-local map from a size s to its table, built on first use.
-
-    A sweep makes one per base and drops it when the base ends, so it
-    holds at most one table per size and nothing outlives the base.
-    """
-
-    def __init__(self, build: Callable[[int], list[int]]):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, s: int) -> list[int]:
-        table = self[s] = self._build(s)
-        return table
+def _unpack(packed: int, w: int, size: int) -> list[int]:
+    """Coefficients 0..size-1 of the polynomial packed at slot width w."""
+    half = 1 << (w - 1)
+    biased = packed + _pack([half] * size, w)  # every slot in [0, 2**w)
+    return [((biased >> w * i) & ((1 << w) - 1)) - half for i in range(size)]
 
 
-def _chu_tables(b: int, span: int, k_max: int) -> tuple[_Tables, _Tables]:
-    # kernel[s][r] = binom(-s, r)_b for r <= span; at_inf[s][r] is the
-    # partition sum for binom(-s, -s - r)_b, r <= k_max
-    kernel = _Tables(lambda s: list(shift_subtract_table(-s, b, span)[: span + 1]))
-    at_inf = _Tables(lambda s: list(partition_value_table(-s, b, True, k_max)[: k_max + 1]))
-    return kernel, at_inf
+def _pack_tables(*tables: dict[int, Sequence[int]]) -> int:
+    """Pack one base's tables (maps from s to a coefficient list) in place
+    at one slot width w, and return w: the least width at which every
+    entry and every coefficient of a product of two lists, at most
+    top**2 * longest in magnitude, fits a signed slot.  Each list is
+    dropped as it is packed."""
+    top = max((abs(x) for t in tables for c in t.values() for x in c), default=0)
+    longest = max((len(c) for t in tables for c in t.values()), default=0)
+    w = (top * top * longest).bit_length() + 1
+    for t in tables:
+        for s, c in t.items():
+            t[s] = _pack(c, w)
+    return w
 
 
 def check_chu_negative(
@@ -336,29 +331,30 @@ def check_chu_negative(
     n_max bounds n + m.  Pairs are swept unordered (the identity is
     symmetric in n and m); pairs that carry are counted as skipped.
 
-    Both right-hand sides are one exact big-integer product of the
-    kernel tables of -n and -m (see _convolve): f_n is palindromic, so
-    the infinity-side sum is that product's coefficient r = k - n - m.
-    The zero side compares it with the kernel table of -(n+m), the
-    infinity side with the partition sum, so a kernel fault cannot
-    cancel against itself there.  Tables are built once per base:
-    at most n_max + 1 kernel and partition tables of at most
-    k_max + 1 entries, freed when the base ends.
+    Both right-hand sides are one exact product of the packed kernel
+    tables of -n and -m (see _pack): f_n is palindromic, so the
+    infinity-side sum is its slot r = k - n - m.  The zero side compares
+    it with the kernel table of -(n+m) at every k >= 0, where it holds,
+    and reports k >= m; the infinity side with the partition sum, so a
+    kernel fault cannot cancel against itself there.  Tables are packed
+    once per base, n_max kernel and partition tables of at least
+    k_max + 1 entries, and freed before the next base's.
     """
-    t = _Tally()
+    t, size = _Tally(), max(k_max + 1, 0)
     for b in bases:
-        kernel, at_inf = _chu_tables(b, k_max, k_max)
+        kernel = {s: shift_subtract_table(-s, b, k_max) for s in range(1, n_max + 1)}
+        at_inf = {s: partition_value_table(-s, b, True, k_max) for s in range(2, n_max + 1)}
+        w = _pack_tables(kernel, at_inf)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
                 if not carry_free(n, m, b):
                     t.skipped += 1
                     continue
-                conv = _convolve(kernel[n], kernel[m], k_max + 1)
-                t.compare((b, n, m), range(m, k_max + 1), kernel[n + m][m:], conv[m:], ("zero",))
-                # infinity side: entry r is k = -(r + n + m)
+                key, product, zero = (b, n, m), kernel[n] * kernel[m], range(m, size)
+                t.compare_packed(key, zero, kernel[n + m], product, w, "zero", size=size)
                 inf = range(-(n + m), -k_max - 1, -1)
-                lhs = at_inf[n + m][: len(inf)]
-                t.compare((b, n, m), inf, lhs, conv[: len(inf)], ("infinity",))
+                t.compare_packed(key, inf, at_inf[n + m], product, w, "infinity")
+        del kernel, at_inf
     return t.report(
         "chu-neg", f"b in {_fmt(bases)}, carry-free pairs with n+m <= {n_max}, k <= {k_max}"
     )
@@ -381,36 +377,36 @@ def check_chu_mixed(
     whenever k < m.  In the second form of (1), terms with s < k + m
     vanish (the factor falls in the band where every value is 0).
 
-    Each sum is one exact big-integer product (see _convolve).  The
+    Each sum is one exact product of packed tables (see _pack).  The
     second form of (1) is a correlation: the product of the reversed
-    row d_n with the kernel table of -m, read at n - m - k.  (3) is the
-    product of the kernel table of -n with the reversed row d_m, read
-    at r = k - (n - m), and its left side is the partition sum, so a
-    kernel fault cannot cancel against itself there.  Tables are built
-    once per base: at most n_max + 1 kernel tables, partition tables
-    and rows, each of at most max(n_max, k_max) + 1 entries, freed when
-    the base ends.
+    row d_n with the kernel table of -m, read at n - m - k, so it is
+    compared with the reversed row d_{n-m}.  (3) is the product of the
+    kernel table of -n with the reversed row d_m, read at slot
+    r = k - (n - m); its left side is the partition sum, so a kernel
+    fault cannot cancel against itself there.  Tables are packed once
+    per base, n_max kernel tables of at least max(n_max, k_max) + 1
+    entries, partition tables of at least k_max + 1, the rows d_s and
+    their reverses, and freed before the next base's.
     """
-    t, size = _Tally(), k_max + 1
+    t, span, zero = _Tally(), max(n_max, k_max), range(max(k_max + 1, 0))
     for b in bases:
-        kernel, at_inf = _chu_tables(b, max(n_max, k_max), k_max)
-        row = _Tables(lambda s, b=b: _row(s, b, range(s + 1)))
+        row = {s: _row(s, b, range(s + 1)) for s in range(1, n_max + 1)}
+        rev = {s: r[::-1] for s, r in row.items()}
+        kernel = {s: shift_subtract_table(-s, b, span) for s in row}
+        at_inf = {s: partition_value_table(-s, b, True, k_max) for s in row}
+        w = _pack_tables(kernel, at_inf, row, rev)
         for n in range(2, n_max + 1):
-            d_n = row[n]
             for m in range(1, n):
                 if not carry_free(m, n - m, b):
                     t.skipped += 1
                     continue
-                key, pos, lhs = (b, n, m), range(n - m + 1), row[n - m]
-                t.compare(key, pos, lhs, _convolve(d_n, kernel[m], len(pos)), ("pos-j",))
-                s_form = _convolve(d_n[::-1], kernel[m], len(pos))[::-1]
-                t.compare(key, pos, lhs, s_form, ("pos-s",))
-                conv = _convolve(kernel[n], row[m], size)
-                t.compare(key, range(size), kernel[n - m][:size], conv, ("neg-zero",))
-                # infinity side: entry r is k = -(r + n - m)
-                conv = _convolve(kernel[n], row[m][::-1], size)
-                inf = range(-(n - m), -(n - m) - size, -1)
-                t.compare(key, inf, at_inf[n - m], conv, ("neg-inf",))
+                key, pos = (b, n, m), range(n - m + 1)
+                t.compare_packed(key, pos, row[n - m], row[n] * kernel[m], w, "pos-j")
+                t.compare_packed(key, pos, rev[n - m], rev[n] * kernel[m], w, "pos-s", True)
+                t.compare_packed(key, zero, kernel[n - m], kernel[n] * row[m], w, "neg-zero")
+                inf = range(-(n - m), -(n - m) - len(zero), -1)
+                t.compare_packed(key, inf, at_inf[n - m], kernel[n] * rev[m], w, "neg-inf")
+        del kernel, at_inf, row, rev
     return t.report(
         "chu-mixed", f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}"
     )
@@ -470,9 +466,10 @@ def _alt_pascal(variant, bases, n_max, k_max, sign=1) -> IdentityReport:
     t = _Tally()
     for b in bases:
         ks = [sign * k for k in range(1, k_max + 1) if k % b]
+        step = _pascal(t, variant, b, ks)
         for n in range(1, n_max + 1):
             if n % b:
-                _pascal_step(t, (b, n), variant, b, n, 1, ks)
+                step((b, n), n, 1)
     domain = f"b in {_fmt(bases)}, n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k"
     return t.report(f"{variant}-pascal", domain)
 
@@ -512,10 +509,12 @@ def pascal_defect_matrix(
     where v is the chosen coefficient (std, star, or dstar)."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    t = _Tally()
-    ks = range(-1, -k_max - 1, -1)
+    if min(n_max, k_max) < 1:
+        raise ValueError(f"n_max and k_max must be at least 1, got {n_max} and {k_max}")
+    t, ks = _Tally(), range(-1, -k_max - 1, -1)
+    step = _pascal(t, variant, base, ks)
     for n in range(1, n_max + 1):
-        _pascal_step(t, (n,), variant, base, n, 1, ks)
+        step((n,), n, 1)
     defects = {w.inputs: w.lhs - w.rhs for w in t.failures}
     rows = [tuple(defects.get((n, k), 0) for k in ks) for n in range(1, n_max + 1)]
     return DefectMatrix(n_max, k_max, tuple(rows))

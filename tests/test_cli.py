@@ -260,6 +260,24 @@ def test_verify_rejects_empty_sweeps_and_composite_primes(capsys):
     assert {row[1].split(",")[0] for row in rows} <= {"b in 2", "p in 2"}
 
 
+def test_chu_sweeps_with_no_tables_report_no_cases(capsys):
+    for suite, nmax in (("chu-neg", "0"), ("chu-mixed", "-1")):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--nmax", nmax)
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite} checks no cases with these bounds\n"
+
+
+def test_table_pascal_defect_bounds_below_one_exit_two(capsys):
+    for argv, got in (
+        (("--kmax", "-2"), "10 and -2"),
+        (("--kmax", "0"), "10 and 0"),
+        (("--nmax", "0"), "0 and 19"),
+    ):
+        code, out, err = run(capsys, "table", "--kind", "pascal-defect", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: n_max and k_max must be at least 1, got {got}\n"
+
+
 def test_worker_pool_is_clamped_to_the_number_of_suites(capsys, monkeypatch):
     # a stand-in executor records the pool size and runs suites in order,
     # so no process is started

@@ -247,8 +247,30 @@ COEFFS = st.lists(
 @example([-(2**64)] * 5, [2**64] * 5, 9)
 @example([2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], 2)
 @example([1, 2, 3], [4, 5, 6], 0)
-def test_convolve_matches_the_schoolbook_product(a, b, size):
-    assert identities._convolve(a, b, size) == schoolbook(a, b, size)
+def test_packed_product_matches_the_schoolbook_product(a, b, size):
+    # at the width _pack_tables picks, the product of two packed lists
+    # decodes to the schoolbook product, and the masked compare flags a
+    # change of one slot at every position below size and none above
+    exact = schoolbook(a, b, size)
+    packed = {0: a, 1: b}
+    w = identities._pack_tables(packed)
+    assert packed == {0: identities._pack(a, w), 1: identities._pack(b, w)}
+    assert identities._unpack(packed[0] * packed[1], w, size) == exact
+
+    def witnesses(lhs):
+        packed = {0: a, 1: b, 2: lhs}
+        w = identities._pack_tables(packed)
+        t = identities._Tally()
+        t.compare_packed((), range(size), packed[2], packed[0] * packed[1], w, "x")
+        assert t.checked == size
+        return [(v.inputs, v.lhs, v.rhs) for v in t.failures]
+
+    assert witnesses(exact + [1]) == []
+    for i in range(size):
+        for delta in (1, -1, 2**70):
+            changed = exact.copy()
+            changed[i] += delta
+            assert witnesses(changed) == [((i, "x"), changed[i], exact[i])]
 
 
 def chu_negative_reference(bases, n_max, k_max):
@@ -343,6 +365,161 @@ def test_chu_sweeps_match_the_sum_per_coefficient_loops(sweep, reference, n_max,
     assert sweep(bases, n_max, k_max) == reference(bases, n_max, k_max)
 
 
+# the witnesses (inputs, lhs, rhs) of chu-neg and chu-mixed at base 3,
+# n_max 14, k_max 28, with one entry of a (-7, 3) table off by one; frozen
+# from the earlier sweeps that convolved each pair's lists one by one
+CHU_FAULT_WITNESSES = {
+    "kernel5": (
+        [
+            ((3, 1, 7, 7, "zero"), -24, -23), ((3, 1, 7, 8, "zero"), 30, 29),
+            ((3, 1, 7, 9, "zero"), -40, -39), ((3, 1, 7, 10, "zero"), 50, 49),
+            ((3, 1, 7, 11, "zero"), -60, -59), ((3, 1, 7, 12, "zero"), 75, 74),
+            ((3, 1, 7, 13, "zero"), -90, -89), ((3, 1, 7, 14, "zero"), 105, 104),
+            ((3, 1, 7, 15, "zero"), -126, -125), ((3, 1, 7, 16, "zero"), 147, 146),
+            ((3, 1, 7, 17, "zero"), -168, -167), ((3, 1, 7, 18, "zero"), 196, 195),
+            ((3, 1, 7, 19, "zero"), -224, -223), ((3, 1, 7, 20, "zero"), 252, 251),
+            ((3, 1, 7, 21, "zero"), -288, -287), ((3, 1, 7, 22, "zero"), 324, 323),
+            ((3, 1, 7, 23, "zero"), -360, -359), ((3, 1, 7, 24, "zero"), 405, 404),
+            ((3, 1, 7, 25, "zero"), -450, -449), ((3, 1, 7, 26, "zero"), 495, 494),
+            ((3, 1, 7, 27, "zero"), -550, -549), ((3, 1, 7, 28, "zero"), 605, 604),
+            ((3, 1, 7, -13, "infinity"), -12, -11), ((3, 1, 7, -14, "infinity"), 18, 17),
+            ((3, 1, 7, -15, "infinity"), -24, -23), ((3, 1, 7, -16, "infinity"), 30, 29),
+            ((3, 1, 7, -17, "infinity"), -40, -39), ((3, 1, 7, -18, "infinity"), 50, 49),
+            ((3, 1, 7, -19, "infinity"), -60, -59), ((3, 1, 7, -20, "infinity"), 75, 74),
+            ((3, 1, 7, -21, "infinity"), -90, -89), ((3, 1, 7, -22, "infinity"), 105, 104),
+            ((3, 1, 7, -23, "infinity"), -126, -125), ((3, 1, 7, -24, "infinity"), 147, 146),
+            ((3, 1, 7, -25, "infinity"), -168, -167), ((3, 1, 7, -26, "infinity"), 196, 195),
+            ((3, 1, 7, -27, "infinity"), -224, -223), ((3, 1, 7, -28, "infinity"), 252, 251),
+            ((3, 3, 4, 5, "zero"), -2, -3),
+        ],
+        [
+            ((3, 7, 1, 5, "neg-zero"), 0, 1), ((3, 7, 1, 6, "neg-zero"), 3, 4),
+            ((3, 7, 1, -11, "neg-inf"), 0, 1), ((3, 7, 1, -12, "neg-inf"), 3, 4),
+            ((3, 7, 3, 5, "neg-zero"), -2, -1), ((3, 7, 3, 8, "neg-zero"), 3, 4),
+            ((3, 7, 3, -9, "neg-inf"), -2, -1), ((3, 7, 3, -12, "neg-inf"), 3, 4),
+            ((3, 7, 4, 5, "neg-zero"), 0, 1), ((3, 7, 4, 6, "neg-zero"), 1, 2),
+            ((3, 7, 4, 8, "neg-zero"), 0, 1), ((3, 7, 4, 9, "neg-zero"), -1, 0),
+            ((3, 7, 4, -8, "neg-inf"), 0, 1), ((3, 7, 4, -9, "neg-inf"), 1, 2),
+            ((3, 7, 4, -11, "neg-inf"), 0, 1), ((3, 7, 4, -12, "neg-inf"), -1, 0),
+            ((3, 7, 6, 5, "neg-zero"), -1, 0), ((3, 7, 6, 8, "neg-zero"), 1, 3),
+            ((3, 7, 6, 11, "neg-zero"), -1, 0), ((3, 7, 6, -6, "neg-inf"), -1, 0),
+            ((3, 7, 6, -9, "neg-inf"), 1, 3), ((3, 7, 6, -12, "neg-inf"), -1, 0),
+            ((3, 8, 1, 5, "neg-zero"), -2, -3),
+        ],
+    ),
+    "kernel2": (
+        [
+            ((3, 1, 7, 7, "zero"), -24, -25), ((3, 1, 7, 8, "zero"), 30, 31),
+            ((3, 1, 7, 9, "zero"), -40, -41), ((3, 1, 7, 10, "zero"), 50, 51),
+            ((3, 1, 7, 11, "zero"), -60, -61), ((3, 1, 7, 12, "zero"), 75, 76),
+            ((3, 1, 7, 13, "zero"), -90, -91), ((3, 1, 7, 14, "zero"), 105, 106),
+            ((3, 1, 7, 15, "zero"), -126, -127), ((3, 1, 7, 16, "zero"), 147, 148),
+            ((3, 1, 7, 17, "zero"), -168, -169), ((3, 1, 7, 18, "zero"), 196, 197),
+            ((3, 1, 7, 19, "zero"), -224, -225), ((3, 1, 7, 20, "zero"), 252, 253),
+            ((3, 1, 7, 21, "zero"), -288, -289), ((3, 1, 7, 22, "zero"), 324, 325),
+            ((3, 1, 7, 23, "zero"), -360, -361), ((3, 1, 7, 24, "zero"), 405, 406),
+            ((3, 1, 7, 25, "zero"), -450, -451), ((3, 1, 7, 26, "zero"), 495, 496),
+            ((3, 1, 7, 27, "zero"), -550, -551), ((3, 1, 7, 28, "zero"), 605, 606),
+            ((3, 1, 7, -10, "infinity"), 3, 4), ((3, 1, 7, -11, "infinity"), -6, -7),
+            ((3, 1, 7, -12, "infinity"), 9, 10), ((3, 1, 7, -13, "infinity"), -12, -13),
+            ((3, 1, 7, -14, "infinity"), 18, 19), ((3, 1, 7, -15, "infinity"), -24, -25),
+            ((3, 1, 7, -16, "infinity"), 30, 31), ((3, 1, 7, -17, "infinity"), -40, -41),
+            ((3, 1, 7, -18, "infinity"), 50, 51), ((3, 1, 7, -19, "infinity"), -60, -61),
+            ((3, 1, 7, -20, "infinity"), 75, 76), ((3, 1, 7, -21, "infinity"), -90, -91),
+            ((3, 1, 7, -22, "infinity"), 105, 106), ((3, 1, 7, -23, "infinity"), -126, -127),
+            ((3, 1, 7, -24, "infinity"), 147, 148), ((3, 1, 7, -25, "infinity"), -168, -169),
+            ((3, 1, 7, -26, "infinity"), 196, 197), ((3, 1, 7, -27, "infinity"), -224, -225),
+            ((3, 1, 7, -28, "infinity"), 252, 253),
+        ],
+        [
+            ((3, 7, 1, 2, "neg-zero"), 0, 1), ((3, 7, 1, 3, "neg-zero"), -2, -1),
+            ((3, 7, 1, -8, "neg-inf"), 0, 1), ((3, 7, 1, -9, "neg-inf"), -2, -1),
+            ((3, 7, 3, 2, "neg-zero"), 1, 2), ((3, 7, 3, 5, "neg-zero"), -2, -1),
+            ((3, 7, 3, -6, "neg-inf"), 1, 2), ((3, 7, 3, -9, "neg-inf"), -2, -1),
+            ((3, 7, 4, 2, "neg-zero"), 0, 1), ((3, 7, 4, 3, "neg-zero"), -1, 0),
+            ((3, 7, 4, 5, "neg-zero"), 0, 1), ((3, 7, 4, 6, "neg-zero"), 1, 2),
+            ((3, 7, 4, -5, "neg-inf"), 0, 1), ((3, 7, 4, -6, "neg-inf"), -1, 0),
+            ((3, 7, 4, -8, "neg-inf"), 0, 1), ((3, 7, 4, -9, "neg-inf"), 1, 2),
+            ((3, 7, 6, 2, "neg-zero"), 1, 2), ((3, 7, 6, 5, "neg-zero"), -1, 1),
+            ((3, 7, 6, 8, "neg-zero"), 1, 2), ((3, 7, 6, -3, "neg-inf"), 1, 2),
+            ((3, 7, 6, -6, "neg-inf"), -1, 1), ((3, 7, 6, -9, "neg-inf"), 1, 2),
+            ((3, 8, 1, 2, "neg-zero"), 2, 1),
+        ],
+    ),
+    "partition5": (
+        [
+            ((3, 1, 6, -12, "infinity"), -2, -3), ((3, 3, 4, -12, "infinity"), -2, -3),
+        ],
+        [
+            ((3, 8, 1, -12, "neg-inf"), -2, -3),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fault, table, entry",
+    [
+        ("kernel5", "shift_subtract_table", 5),
+        # below m for some pairs: the zero side's masked compare covers
+        # it, its witnesses stay at k >= m
+        ("kernel2", "shift_subtract_table", 2),
+        ("partition5", "partition_value_table", 5),
+    ],
+)
+def test_chu_witnesses_under_one_wrong_table_entry_stay_frozen(monkeypatch, fault, table, entry):
+    real = getattr(identities, table)
+
+    def faulty(n, b, *rest):
+        values = real(n, b, *rest)
+        if (n, b) == (-7, 3):
+            values = values[:entry] + (values[entry] + 1,) + values[entry + 1 :]
+        return values
+
+    monkeypatch.setattr(identities, table, faulty)
+    for sweep, want in zip((check_chu_negative, check_chu_mixed), CHU_FAULT_WITNESSES[fault]):
+        report = sweep(bases=(3,), n_max=14, k_max=28)
+        assert [(w.inputs, w.lhs, w.rhs) for w in report.failures] == want, sweep.__name__
+
+
+def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypatch):
+    # d_5 at base 3 with one wrong entry: its reverse is another list, so
+    # pos-s, which compares reversed rows, reports the fault at the k of
+    # the unreversed row; counts and witnesses frozen from the earlier
+    # sweeps that convolved each pair's lists one by one
+    real = identities.bary_binom
+
+    def faulty(n, k, b, *method):
+        return real(n, k, b, *method) + ((n, k, b) == (5, 1, 3))
+
+    monkeypatch.setattr(identities, "bary_binom", faulty)
+    failures = check_chu_mixed(bases=(3,), n_max=14, k_max=28).failures
+    branches = [w.inputs[-1] for w in failures]
+    assert {b: branches.count(b) for b in set(branches)} == {
+        "pos-j": 11, "pos-s": 3, "neg-zero": 56, "neg-inf": 50
+    }
+    assert [(w.inputs, w.lhs, w.rhs) for w in failures if w.inputs[-1] == "pos-s"] == [
+        ((3, 5, 1, 0, "pos-s"), 1, 2),
+        ((3, 8, 3, 1, "pos-s"), 3, 2),
+        ((3, 14, 9, 1, "pos-s"), 3, 2),
+    ]
+
+
+def test_dstar_pascal_builds_each_row_once(monkeypatch):
+    # n walks 1..29 over the window k in [0, 29]: the k in [1, 30] with
+    # 5∤k and those k - 1
+    calls = []
+    real = identities._VARIANTS["dstar"]
+
+    def counting(n, k, b):
+        calls.append((n, k))
+        return real(n, k, b)
+
+    monkeypatch.setitem(identities._VARIANTS, "dstar", counting)
+    assert check_dstar_pascal(bases=(5,), n_max=30, k_max=30).passed
+    assert sorted(calls) == sorted((-n, k) for n in range(1, 30) for k in range(30))
+
+
 def test_table_generator_reproduces_the_frozen_matrix(table1):
     m = table1_matrix()
     assert (m.rows, m.cols) == (10, 19)
@@ -411,6 +588,12 @@ def test_std_defects_sit_exactly_on_multiples_of_the_base():
 def test_defect_matrix_rejects_unknown_variant():
     with pytest.raises(ValueError):
         pascal_defect_matrix(4, "classic")
+
+
+@pytest.mark.parametrize("n_max, k_max", [(0, 19), (10, 0), (10, -2), (-1, -1)])
+def test_defect_matrix_rejects_bounds_below_one(n_max, k_max):
+    with pytest.raises(ValueError, match="n_max and k_max must be at least 1"):
+        pascal_defect_matrix(4, "star", n_max, k_max)
 
 
 def test_star_recurrence_fails_at_negative_k(table1):
