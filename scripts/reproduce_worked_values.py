@@ -59,13 +59,13 @@ def main() -> int:
     check("infinity-side terms", list(inf.terms()), [(-6, 1), (-7, -2), (-8, 3)])
 
     print("-- partition index sets --")
-    plain = [p.parts for p in enumerate_partitions(7, 4, 2)]
+    plain = enumerate_partitions(7, 4, 2)
     check("tuples for k = 7", plain, [(1, 3), (0, 7)])
-    bounded = [p.parts for p in enumerate_restricted(8, 4, to_digits(6, 4))]
+    bounded = enumerate_restricted(8, 4, to_digits(6, 4))
     check("tuples for k = -8 (bounds 1,2)", bounded, [(1, 4)])
 
     print("-- 10 x 19 star defect table, base 4 --")
-    got = table1_matrix().entries
+    got = table1_matrix()
     bad = [
         (n + 1, k + 1)
         for n in range(10)

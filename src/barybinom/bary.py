@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .classic import classic_binom
 from .digits import to_digits
-from .series import MAX_TERMS, ExpansionPoint, coefficient, gf_expand
+from .series import MAX_TERMS, ExpansionPoint, gf_expand
 
 # entries per table or expansion cache: sweeps and row scans reuse a
 # table in runs per (n, b), not across the whole process
@@ -203,13 +203,15 @@ def _gf_cached(n: int, b: int, point: ExpansionPoint, order: int):
 def bary_binom_series(n: int, k: int, b: int) -> int:
     """binom(n, k)_b by expanding f_{n,b} and reading one coefficient.
 
-    The order |n| + |k| + 2 always covers the requested exponent at
-    either expansion point; it is rounded up so that a sweep over k
-    reuses a handful of cached expansions.  MAX_TERMS is a multiple of
-    the rounding, so an order within the limit stays within it.
+    The coefficient is entry r = k of the expansion at zero for k >= 0
+    and entry r = n - k of the expansion at infinity for k < 0, so the
+    expansion needs r + 1 terms; r < 0 is the band n < k < 0, which is
+    0 without expanding.  The order is rounded up so that a sweep over
+    k reuses a handful of cached expansions.  MAX_TERMS is a multiple
+    of the rounding, so an order within the limit stays within it.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    order = _bucket(abs(n) + abs(k) + 2)
     point = ExpansionPoint.AT_ZERO if k >= 0 else ExpansionPoint.AT_INFINITY
-    return coefficient(_gf_cached(n, b, point, order), k)
+    r = k if k >= 0 else n - k
+    return _gf_cached(n, b, point, _bucket(r + 1)).coeffs[r] if r >= 0 else 0

@@ -11,8 +11,9 @@ suite; --suite all applies each option to the suites that take it),
 a pascal-defect table with --nmax or --kmax below 1, and a request
 past the size limit: a binom value for n < 0 whose table
 or expansion would need more than MAX_TERMS = 10**6 terms, an expand
-order above it, or a partitions output of more than MAX_TERMS integers
-(tuples times length).  Data goes to stdout, diagnostics to stderr.
+order above it, a partitions output of more than MAX_TERMS integers
+(tuples times length), or a pascal-defect table of more than MAX_TERMS
+entries (--nmax times --kmax).  Data goes to stdout, diagnostics to stderr.
 Everything is exact integer arithmetic serialized as decimal strings;
 identical invocations produce byte-identical output.  verify calls
 each selected suite's check once.
@@ -164,15 +165,15 @@ def cmd_expand(args) -> int:
 
 def cmd_table(args) -> int:
     if args.kind == "table1":
-        matrix = identities.table1_matrix()
+        rows = identities.table1_matrix()
     else:
-        matrix = identities.pascal_defect_matrix(args.base, args.variant, args.nmax, args.kmax)
+        rows = identities.pascal_defect_matrix(args.base, args.variant, args.nmax, args.kmax)
     if args.format == "json":
-        for i, row in enumerate(matrix.entries, start=1):
+        for i, row in enumerate(rows, start=1):
             _emit_json({"n": str(i), "values": [str(v) for v in row]})
     else:
-        print("\t".join(f"k{j}" for j in range(1, matrix.cols + 1)))
-        for row in matrix.entries:
+        print("\t".join(f"k{j}" for j in range(1, len(rows[0]) + 1)))
+        for row in rows:
             print("\t".join(str(v) for v in row))
     return 0
 
@@ -189,11 +190,11 @@ def cmd_partitions(args) -> int:
         length = args.length
     if args.format == "json":
         for t in tuples:
-            _emit_json({"parts": [str(p) for p in t.parts]})
+            _emit_json({"parts": [str(p) for p in t]})
     else:
         print("\t".join(f"j{l}" for l in range(length - 1, -1, -1)))
         for t in tuples:
-            print("\t".join(str(p) for p in t.parts))
+            print("\t".join(str(p) for p in t))
     return 0
 
 

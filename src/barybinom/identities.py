@@ -3,8 +3,9 @@
 Every check_* function sweeps an explicit finite domain, compares two
 rows at a time (the two sides of one identity over a list of k) with
 exact integer arithmetic, and returns an IdentityReport carrying any
-counterexample witnesses.  For n < 0 a row reads one of three sources
-(see _row), and which source each side reads is the point of a check:
+counterexample witnesses.  For n < 0 a row reads the tables of one of
+bary_binom's three routes, named by its Method (see _row), and which
+route each side reads is the point of a check:
 
 - pascal, pascal-power, prop33 and lucas: the shift-subtract kernel;
 - symmetry: the kernel against the partition sum at the mirror index;
@@ -24,10 +25,10 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .altdefs import dstar_binom, star_binom
-from .bary import bary_binom, partition_value_table, shift_subtract_table
+from .bary import Method, bary_binom, partition_value_table, shift_subtract_table
 from .classic import classic_binom
 from .digits import digit_sum, to_digits
-from .series import ExpansionPoint, gf_expand
+from .series import MAX_TERMS, ExpansionPoint, gf_expand
 
 # check_lucas reads its grid of about 29,000 keys past the cache (the
 # lru_cache's __wrapped__), so the cache keeps the digit-sized keys the
@@ -93,25 +94,6 @@ class _Tally:
         return IdentityReport(identity_id, domain, self.checked, failures, self.skipped)
 
 
-@dataclass(frozen=True)
-class DefectMatrix:
-    """Values of a Pascal-style expression; nonzero entries mark where
-    the recurrence fails.  Rows are n = 1..rows, columns k = 1..cols."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-
-    def entry(self, n: int, k: int) -> int:
-        if not (1 <= n <= self.rows and 1 <= k <= self.cols):
-            raise ValueError(f"entry ({n}, {k}) outside {self.rows}x{self.cols} matrix")
-        return self.entries[n - 1][k - 1]
-
-
 def carry_free(n: int, m: int, b: int) -> bool:
     """True when adding n and m in base b carries in no digit position."""
     if n <= 0 or m <= 0:
@@ -122,37 +104,37 @@ def carry_free(n: int, m: int, b: int) -> bool:
     return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
-# Each source of binom(n, .)_b for n < 0, as its zero-side table and its
-# infinity-side table, each indexed from the start of its support and
-# covering at least span + 1 entries.  The lambdas look their functions
-# up as module globals at call time, so a patched module attribute is
-# what a sweep reads.
+# The tables behind each route of bary_binom for n < 0 (AUTO reads the
+# kernel), as the zero-side table and the infinity-side table, each
+# indexed from the start of its support and covering at least span + 1
+# entries.  The lambdas look their functions up as module globals at
+# call time, so a patched module attribute is what a sweep reads.
 _SIDES = {
     # f_|n| is palindromic: one kernel table serves both expansion points
-    "kernel": lambda n, b, span: (shift_subtract_table(n, b, span),) * 2,
-    "partition": lambda n, b, span: (
+    Method.AUTO: lambda n, b, span: (shift_subtract_table(n, b, span),) * 2,
+    Method.PARTITION: lambda n, b, span: (
         partition_value_table(n, b, False, span),
         partition_value_table(n, b, True, span),
     ),
-    "series": lambda n, b, span: tuple(
+    Method.SERIES: lambda n, b, span: tuple(
         gf_expand(n, b, point, span + 1).coeffs for point in ExpansionPoint
     ),
 }
 
 
-def _row(n: int, b: int, ks: Sequence[int], source: str = "kernel") -> list[int]:
+def _row(n: int, b: int, ks: Sequence[int], method: Method = Method.AUTO) -> list[int]:
     """binom(n, k)_b for every k in ks, in order.
 
     n >= 0 reads the digit product.  n < 0 reads one pair of tables
-    from source at the least span that covers ks: entry k on the zero
-    side for k >= 0, entry n - k on the infinity side for k <= n, and 0
-    in the band n < k < 0.
+    of the method's route at the least span that covers ks: entry k on
+    the zero side for k >= 0, entry n - k on the infinity side for
+    k <= n, and 0 in the band n < k < 0.
     """
     if n >= 0:
         return [bary_binom(n, k, b) for k in ks]
     if not ks:
         return []
-    zero, inf = _SIDES[source](n, b, max(0, max(ks), n - min(ks)))
+    zero, inf = _SIDES[method](n, b, max(0, max(ks), n - min(ks)))
     return [zero[k] if k >= 0 else inf[n - k] if k <= n else 0 for k in ks]
 
 
@@ -206,7 +188,7 @@ def check_symmetry(
     ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(-n_max, n_max + 1):
-            mirror = _row(n, b, [n - k for k in ks], "partition")
+            mirror = _row(n, b, [n - k for k in ks], Method.PARTITION)
             t.compare((b, n), ks, _row(n, b, ks), mirror)
     return t.report("symmetry", f"b in {_fmt(bases)}, |n| <= {n_max}, |k| <= {k_max}")
 
@@ -461,27 +443,17 @@ def check_dstar_pascal(
     return _alt_pascal("dstar", bases, n_max, k_max)
 
 
-def _alt_pascal(variant, bases, n_max, k_max, sign=1) -> IdentityReport:
-    # the step-one recurrence for a star variant at sign*k, k in [1,k_max]
+def _alt_pascal(variant, bases, n_max, k_max) -> IdentityReport:
+    # the step-one recurrence for a star variant at k in [1,k_max]
     t = _Tally()
     for b in bases:
-        ks = [sign * k for k in range(1, k_max + 1) if k % b]
+        ks = [k for k in range(1, k_max + 1) if k % b]
         step = _pascal(t, variant, b, ks)
         for n in range(1, n_max + 1):
             if n % b:
                 step((b, n), n, 1)
     domain = f"b in {_fmt(bases)}, n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k"
     return t.report(f"{variant}-pascal", domain)
-
-
-def find_star_negative_defects(base: int = 4, n_max: int = 10, k_max: int = 19) -> list[Witness]:
-    """Counterexamples to the star recurrence at negative k.
-
-    Returns every (n, k) in [1,n_max]x[1,k_max] with b∤n, b∤k where
-    star(-n,-k) + star(-n,-k-1) != star(-n+1,-k).  Nonempty: the
-    recurrence genuinely fails off the positive-k quadrant.
-    """
-    return list(_alt_pascal("star", (base,), n_max, k_max, sign=-1).failures)
 
 
 def check_cross_oracle(
@@ -498,30 +470,34 @@ def check_cross_oracle(
     ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(-n_max, 0):
-            t.compare((b, n), ks, _row(n, b, ks, "series"), _row(n, b, ks, "partition"))
+            t.compare((b, n), ks, _row(n, b, ks, Method.SERIES), _row(n, b, ks, Method.PARTITION))
     return t.report("cross-oracle", f"b in {_fmt(bases)}, n in [-{n_max},-1], |k| <= {k_max}")
 
 
 def pascal_defect_matrix(
     base: int, variant: str = "star", n_max: int = 10, k_max: int = 19
-) -> DefectMatrix:
-    """Matrix of v(-n,-k) + v(-n,-k-1) - v(-n+1,-k) over n, k >= 1,
-    where v is the chosen coefficient (std, star, or dstar)."""
+) -> tuple[tuple[int, ...], ...]:
+    """Rows n = 1..n_max of v(-n,-k) + v(-n,-k-1) - v(-n+1,-k) over
+    k = 1..k_max, where v is the chosen coefficient (std, star, or
+    dstar); nonzero entries mark where the recurrence fails.  A table
+    of more than MAX_TERMS entries raises ValueError before any row is
+    built."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if min(n_max, k_max) < 1:
         raise ValueError(f"n_max and k_max must be at least 1, got {n_max} and {k_max}")
+    if n_max * k_max > MAX_TERMS:
+        raise ValueError(f"a table of {n_max} x {k_max} entries exceeds the limit of {MAX_TERMS}")
     t, ks = _Tally(), range(-1, -k_max - 1, -1)
     step = _pascal(t, variant, base, ks)
     for n in range(1, n_max + 1):
         step((n,), n, 1)
     defects = {w.inputs: w.lhs - w.rhs for w in t.failures}
-    rows = [tuple(defects.get((n, k), 0) for k in ks) for n in range(1, n_max + 1)]
-    return DefectMatrix(n_max, k_max, tuple(rows))
+    return tuple(tuple(defects.get((n, k), 0) for k in ks) for n in range(1, n_max + 1))
 
 
-def table1_matrix() -> DefectMatrix:
-    """The 10 x 19 base-4 star defect matrix.
+def table1_matrix() -> tuple[tuple[int, ...], ...]:
+    """The 10 x 19 base-4 star defect matrix, as rows n = 1..10.
 
     The third term uses index -k, the Pascal form that matches the
     step-one recurrence; see the defect-matrix docstring.

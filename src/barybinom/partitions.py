@@ -9,28 +9,14 @@ ValueError before it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .series import MAX_TERMS
 
 
-@dataclass(frozen=True)
-class PartitionTuple:
-    """Multiplicities (j_{N-1}, ..., j_0), most-significant part first."""
-
-    parts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def weighted_sum(self, b: int) -> int:
-        N = len(self.parts)
-        return sum(j * b ** (N - 1 - l) for l, j in enumerate(self.parts))
-
-
-def enumerate_partitions(k: int, b: int, N: int) -> list[PartitionTuple]:
-    """All N-tuples of nonnegative j_l with sum j_l * b^l = k.
+def enumerate_partitions(k: int, b: int, N: int) -> list[tuple[int, ...]]:
+    """All N-tuples of nonnegative j_l with sum j_l * b^l = k, each as
+    the multiplicities (j_{N-1}, ..., j_0), most significant part first.
 
     Output is in descending lexicographic order on (j_{N-1}, ..., j_0),
     i.e. largest most-significant part first; complete and duplicate-free.
@@ -50,14 +36,14 @@ def enumerate_partitions(k: int, b: int, N: int) -> list[PartitionTuple]:
         # parts 1 and b alone give k // b + 1 tuples, so this also
         # bounds the recursion depth below
         _check_size(k // b + 1, N)
-    out: list[PartitionTuple] = []
+    out: list[tuple[int, ...]] = []
     prefix = [0] * (N - free)
 
     # recursive descent on l = free-1 .. 0, largest multiplicity first;
     # at l = 0 the remainder forces j_0, so no scan is needed there
     def rec(l: int, rem: int) -> None:
         if l == 0:
-            out.append(PartitionTuple(tuple(prefix) + (rem,)))
+            out.append((*prefix, rem))
             _check_size(len(out), N)
             return
         w = b**l
@@ -70,7 +56,7 @@ def enumerate_partitions(k: int, b: int, N: int) -> list[PartitionTuple]:
     return out
 
 
-def enumerate_restricted(k: int, b: int, digits: tuple[int, ...]) -> list[PartitionTuple]:
+def enumerate_restricted(k: int, b: int, digits: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The subset of enumerate_partitions(k, b, N) with j_l >= n_l.
 
     ``digits`` are the base-b digits (n_0, ..., n_{N-1}) of a positive
@@ -89,10 +75,7 @@ def enumerate_restricted(k: int, b: int, digits: tuple[int, ...]) -> list[Partit
     if k < n:
         return []
     lows = digits[::-1]
-    return [
-        PartitionTuple(tuple(map(add, p.parts, lows)))
-        for p in enumerate_partitions(k - n, b, len(digits))
-    ]
+    return [tuple(map(add, p, lows)) for p in enumerate_partitions(k - n, b, len(digits))]
 
 
 def _check_size(tuples: int, N: int) -> None:

@@ -32,7 +32,7 @@ def partition_sum_literal(n, k, b):
         total = 0
         for p in enumerate_partitions(k, b, len(dv)):
             prod = 1
-            for d, j in zip(dv[::-1], p.parts):
+            for d, j in zip(dv[::-1], p):
                 prod *= classic_binom(d, j)
             total += prod
         return total
@@ -40,7 +40,7 @@ def partition_sum_literal(n, k, b):
     total = 0
     for p in enumerate_restricted(-k, b, dv):
         prod = 1
-        for d, j in zip(dv[::-1], p.parts):
+        for d, j in zip(dv[::-1], p):
             prod *= classic_binom(-d, -j)
         total += prod
     return total
@@ -126,6 +126,21 @@ def test_auto_matches_series_at_large_k():
     for n, k, b in ((-6, 16000, 4), (-37, 20000, 3)):
         assert bary_binom(n, k, b) == bary_binom(n, k, b, Method.SERIES)
         assert bary_binom(n, n - k, b) == bary_binom(n, n - k, b, Method.SERIES)
+
+
+def test_series_matches_partition_at_huge_n_and_small_k():
+    # the series route expands only as far as the entry it reads, r = k
+    # at zero and r = n - k at infinity, and reads the band as 0; an
+    # order of |n| + |k| terms would be far past the limit here
+    for n, b in ((-(10**100) + 1, 3), (-(2**200), 2), (-(3**12 - 1), 3), (-(10**30) - 7, 10)):
+        zero = [0, 1, 7, 5000]
+        inf = [n - r for r in zero]
+        band = [-1, -5000, n + 1, n // 2]
+        for k in zero + inf + band:
+            want = bary_binom(n, k, b, Method.PARTITION)
+            assert bary_binom(n, k, b, Method.SERIES) == want, (n, k, b)
+            assert bary_binom(n, k, b) == want, (n, k, b)
+        assert all(bary_binom(n, k, b, Method.SERIES) == 0 for k in band)
 
 
 @given(st.integers(2, 9), st.integers(-300, -1), st.integers(-700, 700))

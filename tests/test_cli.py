@@ -220,6 +220,7 @@ def test_usage_errors_exit_with_two(capsys):
         ("binom", "--base", "4", "--n", "-6", "--k", "1000000000000"),
         ("binom", "--base", "4", "--n", "-6", "--k", "-1000000000000", "--method", "series"),
         ("expand", "--base", "4", "--n", "-6", "--at", "zero", "--order", "1000000000000"),
+        ("table", "--kind", "pascal-defect", "--nmax", "1001", "--kmax", "1000"),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)

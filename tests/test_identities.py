@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from barybinom import identities
+from barybinom.altdefs import star_binom
 from barybinom.bary import Method, bary_binom, shift_subtract_table
 from barybinom.classic import classic_binom
 from barybinom.series import ExpansionPoint
 from barybinom.identities import (
     SUITES,
-    DefectMatrix,
     IdentityReport,
     SuiteSpec,
     Witness,
@@ -26,7 +26,6 @@ from barybinom.identities import (
     check_prop33,
     check_star_pascal,
     check_symmetry,
-    find_star_negative_defects,
     pascal_defect_matrix,
     table1_matrix,
 )
@@ -189,17 +188,14 @@ def test_one_wrong_series_coefficient_shows_only_in_cross_oracle(monkeypatch):
     assert check_symmetry(bases=(3,), n_max=12, k_max=24).passed
 
 
-ROW_METHODS = {"kernel": Method.AUTO, "partition": Method.PARTITION, "series": Method.SERIES}
-
-
-@pytest.mark.parametrize("source", sorted(ROW_METHODS))
-def test_row_matches_the_point_route_of_its_source(source):
-    # the partition route is defined for n < 0 only; every source reads
-    # the digit product for n >= 0
+@pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
+def test_row_matches_the_point_route_of_its_source(method):
+    # the partition route is defined for n < 0 only; every route's row
+    # reads the digit product for n >= 0
     ascending = range(-50, 51)
     for b in range(2, 8):
         for n in range(-40, 41):
-            method = ROW_METHODS[source] if n < 0 else Method.AUTO
+            route = method if n < 0 else Method.AUTO
             for ks in (
                 ascending,
                 [n - k for k in ascending],  # the mirror, descending
@@ -207,8 +203,8 @@ def test_row_matches_the_point_route_of_its_source(source):
                 range(n + 1, 0),  # inside the band n < k < 0 only
                 [n - 3],
             ):
-                want = [bary_binom(n, k, b, method) for k in ks]
-                assert identities._row(n, b, ks, source) == want, (b, n, ks)
+                want = [bary_binom(n, k, b, route) for k in ks]
+                assert identities._row(n, b, ks, method) == want, (b, n, ks)
 
 
 def test_a_wrong_but_multiplicative_kernel_shows_on_the_infinity_side(monkeypatch):
@@ -521,11 +517,7 @@ def test_dstar_pascal_builds_each_row_once(monkeypatch):
 
 
 def test_table_generator_reproduces_the_frozen_matrix(table1):
-    m = table1_matrix()
-    assert (m.rows, m.cols) == (10, 19)
-    for n in range(1, 11):
-        for k in range(1, 20):
-            assert m.entry(n, k) == table1[n - 1][k - 1], (n, k)
+    assert table1_matrix() == table1
 
 
 def test_block_pascal_needs_the_constant_weight_term():
@@ -564,25 +556,12 @@ def test_report_passes_iff_no_failures():
     assert not IdentityReport("x", "d", 3, (Witness((1,), 0, 1),)).passed
 
 
-def test_defect_matrix_validates_shape_and_bounds():
-    with pytest.raises(ValueError):
-        DefectMatrix(2, 2, ((1, 2),))
-    with pytest.raises(ValueError):
-        DefectMatrix(1, 2, ((1, 2, 3),))
-    m = DefectMatrix(2, 3, ((1, 2, 3), (4, 5, 6)))
-    assert m.entry(1, 1) == 1
-    assert m.entry(2, 3) == 6
-    for n, k in [(0, 1), (3, 1), (1, 0), (1, 4)]:
-        with pytest.raises(ValueError):
-            m.entry(n, k)
-
-
 def test_std_defects_sit_exactly_on_multiples_of_the_base():
     for base, rows in [(2, 8), (4, 10)]:
         m = pascal_defect_matrix(base, "std", rows, 15)
-        for n in range(1, rows + 1):
-            row_zero = all(m.entry(n, k) == 0 for k in range(1, 16))
-            assert row_zero == (n % base != 0), (base, n)
+        assert len(m) == rows and {len(row) for row in m} == {15}
+        for n, row in enumerate(m, start=1):
+            assert (not any(row)) == (n % base != 0), (base, n)
 
 
 def test_defect_matrix_rejects_unknown_variant():
@@ -596,22 +575,31 @@ def test_defect_matrix_rejects_bounds_below_one(n_max, k_max):
         pascal_defect_matrix(4, "star", n_max, k_max)
 
 
+def test_defect_matrix_refuses_more_than_max_terms_entries(monkeypatch):
+    monkeypatch.setattr(identities, "MAX_TERMS", 12)
+    assert len(pascal_defect_matrix(4, "star", 3, 4)) == 3
+    assert len(pascal_defect_matrix(4, "star", 12, 1)) == 12
+    for n_max, k_max in [(13, 1), (1, 13), (2, 7), (7, 2)]:
+        with pytest.raises(ValueError, match="limit of 12"):
+            pascal_defect_matrix(4, "star", n_max, k_max)
+
+
 def test_star_recurrence_fails_at_negative_k(table1):
-    wit = find_star_negative_defects()
-    assert wit
-    got = {(w.inputs[1], -w.inputs[2]) for w in wit}
-    expect = {
-        (n, k)
-        for n in range(1, 11)
-        if n % 4
-        for k in range(1, 20)
-        if k % 4
-        if table1[n - 1][k - 1] != 0
-    }
-    assert got == expect
-    for w in wit:
-        n, k = w.inputs[1], -w.inputs[2]
-        assert w.lhs - w.rhs == table1[n - 1][k - 1]
+    # each entry of the Table 1 rows is the star recurrence's defect at
+    # (-n, -k), read here from star_binom itself; the recurrence holds
+    # for positive k with 4∤n, 4∤k, and fails there at negative k
+    rows = table1_matrix()
+    assert check_star_pascal(bases=(4,), n_max=10, k_max=19).passed
+    failing = set()
+    for n in range(1, 11):
+        for k in range(1, 20):
+            lhs = star_binom(-n, -k, 4) + star_binom(-n, -k - 1, 4)
+            # star extends to n = 0 as binom(0, .)_b, which is 0 at k < 0
+            defect = lhs - (star_binom(-n + 1, -k, 4) if n > 1 else 0)
+            assert rows[n - 1][k - 1] == defect == table1[n - 1][k - 1], (n, k)
+            if defect and n % 4 and k % 4:
+                failing.add((n, k))
+    assert failing
 
 
 def test_suite_registry_names_every_sweep_once():

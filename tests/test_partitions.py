@@ -5,15 +5,7 @@ from hypothesis import given, strategies as st
 
 from barybinom import partitions
 from barybinom.digits import to_digits
-from barybinom.partitions import (
-    PartitionTuple,
-    enumerate_partitions,
-    enumerate_restricted,
-)
-
-
-def parts(result):
-    return [p.parts for p in result]
+from barybinom.partitions import enumerate_partitions, enumerate_restricted
 
 
 def brute_force(k, b, N, lows=None):
@@ -32,7 +24,7 @@ def brute_force(k, b, N, lows=None):
 
 
 def test_seven_base_two_two_parts():
-    assert parts(enumerate_partitions(7, 2, 4)) == [
+    assert enumerate_partitions(7, 2, 4) == [
         (0, 1, 1, 1),
         (0, 1, 0, 3),
         (0, 0, 3, 1),
@@ -40,16 +32,16 @@ def test_seven_base_two_two_parts():
         (0, 0, 1, 5),
         (0, 0, 0, 7),
     ]
-    assert parts(enumerate_partitions(7, 4, 2)) == [(1, 3), (0, 7)]
+    assert enumerate_partitions(7, 4, 2) == [(1, 3), (0, 7)]
 
 
 def test_zero_has_the_all_zero_tuple_only():
     for b, N in [(2, 1), (3, 2), (5, 4)]:
-        assert parts(enumerate_partitions(0, b, N)) == [(0,) * N]
+        assert enumerate_partitions(0, b, N) == [(0,) * N]
 
 
 def test_five_base_two_three_parts():
-    assert parts(enumerate_partitions(5, 2, 3)) == [
+    assert enumerate_partitions(5, 2, 3) == [
         (1, 0, 1),
         (0, 2, 1),
         (0, 1, 3),
@@ -58,9 +50,9 @@ def test_five_base_two_three_parts():
 
 
 def test_restricted_to_digits_of_six_base_four():
-    assert parts(enumerate_restricted(8, 4, to_digits(6, 4))) == [(1, 4)]
-    assert parts(enumerate_restricted(6, 4, to_digits(6, 4))) == [(1, 2)]
-    assert parts(enumerate_restricted(5, 4, to_digits(6, 4))) == []
+    assert enumerate_restricted(8, 4, to_digits(6, 4)) == [(1, 4)]
+    assert enumerate_restricted(6, 4, to_digits(6, 4)) == [(1, 2)]
+    assert enumerate_restricted(5, 4, to_digits(6, 4)) == []
 
 
 def test_restricted_is_empty_below_the_bound():
@@ -71,9 +63,9 @@ def test_restricted_is_empty_below_the_bound():
 
 
 def test_positions_past_k_take_zero_without_recursing():
-    assert parts(enumerate_partitions(1, 2, 2000)) == [(0,) * 1999 + (1,)]
-    assert parts(enumerate_partitions(0, 3, 1500)) == [(0,) * 1500]
-    assert parts(enumerate_restricted(9, 2, to_digits(9, 2, 1500))) == [
+    assert enumerate_partitions(1, 2, 2000) == [(0,) * 1999 + (1,)]
+    assert enumerate_partitions(0, 3, 1500) == [(0,) * 1500]
+    assert enumerate_restricted(9, 2, to_digits(9, 2, 1500)) == [
         (0,) * 1496 + (1, 0, 0, 1)
     ]
 
@@ -121,14 +113,14 @@ def test_matches_brute_force_on_small_grid():
     for b in (2, 3, 4, 5):
         for N in (1, 2, 3, 4):
             for k in range(0, 31):
-                got = parts(enumerate_partitions(k, b, N))
+                got = enumerate_partitions(k, b, N)
                 assert got == brute_force(k, b, N), (k, b, N)
 
 
 def test_matches_brute_force_on_wide_two_part_range():
     for b in (2, 5):
         for k in range(0, 201, 7):
-            assert parts(enumerate_partitions(k, b, 2)) == brute_force(k, b, 2)
+            assert enumerate_partitions(k, b, 2) == brute_force(k, b, 2)
 
 
 def test_restricted_matches_filtered_unrestricted():
@@ -138,7 +130,7 @@ def test_restricted_matches_filtered_unrestricted():
             lows = d[::-1]
             for k in range(0, 25):
                 full = enumerate_partitions(k, b, len(d))
-                want = [p for p in full if all(j >= lo for j, lo in zip(p.parts, lows))]
+                want = [p for p in full if all(j >= lo for j, lo in zip(p, lows))]
                 assert enumerate_restricted(k, b, d) == want, (n, b, k)
 
 
@@ -146,13 +138,13 @@ def test_restricted_matches_filtered_unrestricted():
 def test_every_tuple_weights_back_to_k(k, b, N):
     for p in enumerate_partitions(k, b, N):
         assert len(p) == N
-        assert all(j >= 0 for j in p.parts)
-        assert p.weighted_sum(b) == k
+        assert all(j >= 0 for j in p)
+        assert sum(j * b ** (N - 1 - l) for l, j in enumerate(p)) == k
 
 
 @given(st.integers(0, 60), st.integers(2, 6), st.integers(1, 5))
 def test_output_is_descending_lex_and_duplicate_free(k, b, N):
-    got = parts(enumerate_partitions(k, b, N))
+    got = enumerate_partitions(k, b, N)
     assert got == sorted(set(got), reverse=True)
 
 
@@ -161,10 +153,3 @@ def test_count_grows_weakly_with_more_parts(k, b, N):
     assert len(enumerate_partitions(k, b, N + 1)) >= len(
         enumerate_partitions(k, b, N)
     )
-
-
-def test_partition_tuple_is_hashable_and_sized():
-    p = PartitionTuple((1, 3))
-    assert len(p) == 2
-    assert hash(p) == hash(PartitionTuple((1, 3)))
-    assert p.weighted_sum(4) == 7
