@@ -5,9 +5,11 @@ shift-subtract kernel: one table of [x^r] 1/f_{|n|}(x), built in
 O(r * S_b(|n|)) steps, that serves both expansion points.  Two
 independent algorithms stay as oracles for the negative-n case:
 coefficient extraction from the truncated generating-function expansion
-(series route) and the restricted-partition sum over closed-form classic
-binomials (partition route).  They share nothing past the digit
+at zero (series route) and the restricted-partition sum over closed-form
+classic binomials (partition route).  They share nothing past the digit
 expansion, which is what makes the cross-oracle sweeps meaningful.
+f_{|n|} is palindromic, so each route builds one table per (n, b) and
+reads entry r = k for k >= 0 and entry r = n - k for k <= n.
 
 Every table and expansion is cached in an lru_cache of CACHE_SIZE
 entries, and none may need more than MAX_TERMS terms.
@@ -126,25 +128,24 @@ def _shift_subtract(m: int, base: int, limit: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def partition_value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ...]:
+def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     """Partition-sum values of binom(n, .)_base for n < 0, in bulk.
 
-    With negative=False, entry r is binom(n, r)_base for 0 <= r <= limit.
-    With negative=True, entry r is binom(n, -(|n| + r))_base, i.e. the
-    infinity-side value at distance r past the start of the support.
-    The returned tuple covers at least limit + 1 entries; it is rounded
-    up so nearby requests share one cached table.
+    Entry r is binom(n, r)_base for 0 <= r <= limit and, since f_{|n|}
+    is palindromic of degree |n|, binom(n, n - r)_base on the infinity
+    side.  The returned tuple covers at least limit + 1 entries; it is
+    rounded up so nearby requests share one cached table.
 
     The symmetry and cross-oracle sweeps read these tables as the
     independent oracle; single queries go through bary_binom_partition.
     """
     if n >= 0:
         raise ValueError("partition tables are defined for n < 0 only")
-    return _value_table(n, base, negative, _table_limit(limit))
+    return _value_table(n, base, _table_limit(limit))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ...]:
+def _value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     # The sum over partition tuples is accumulated level by level: after
     # processing digit position l, entry r holds the sum over all partial
     # tuples (j_l, ..., j_0) with weighted sum r of the products of
@@ -158,12 +159,7 @@ def _value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ..
         step = base**l
         if step > limit:
             break
-        if negative:
-            # k < 0 branch: multiplicities j >= |d| shifted to i = j - |d|,
-            # factor classic_binom(d, -(|d| + i)) = classic_binom(d, d - i)
-            weights = [classic_binom(d, d - i) for i in range(limit // step + 1)]
-        else:
-            weights = [classic_binom(d, i) for i in range(limit // step + 1)]
+        weights = [classic_binom(d, i) for i in range(limit // step + 1)]
         new = [0] * (limit + 1)
         for r, c in enumerate(cur):
             if not c:
@@ -179,39 +175,39 @@ def _value_table(n: int, base: int, negative: bool, limit: int) -> tuple[int, ..
 def bary_binom_partition(n: int, k: int, b: int) -> int:
     """binom(n, k)_b for n < 0 via the restricted-partition sum.
 
-    For k >= 0 the sum runs over all tuples with weighted sum k; for
-    k < 0 over tuples with j_l >= |n_l| and weighted sum |k|, which is
-    empty (hence 0) whenever |k| < |n|.
+    For k >= 0 the sum runs over all tuples with weighted sum k.  The
+    paper's k < 0 sum, over tuples with j_l >= |n_l| and weighted sum
+    |k|, is entry r = n - k of the same table, since classic_binom(d,
+    d - i) = classic_binom(d, i); the band n < k < 0 is 0.
     """
     if n >= 0:
         raise ValueError("partition method applies to n < 0 only")
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    if k >= 0:
-        return partition_value_table(n, b, False, k)[k]
-    r = -k + n  # |k| - |n|
-    if r < 0:
-        return 0
-    return partition_value_table(n, b, True, r)[r]
+    r = k if k >= 0 else n - k
+    return partition_value_table(n, b, r)[r] if r >= 0 else 0
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _gf_cached(n: int, b: int, point: ExpansionPoint, order: int):
-    return gf_expand(n, b, point, order)
+def _gf_cached(n: int, b: int, order: int):
+    return gf_expand(n, b, ExpansionPoint.AT_ZERO, order)
 
 
 def bary_binom_series(n: int, k: int, b: int) -> int:
-    """binom(n, k)_b by expanding f_{n,b} and reading one coefficient.
+    """binom(n, k)_b by expanding f_{n,b} at zero and reading entry r.
 
-    The coefficient is entry r = k of the expansion at zero for k >= 0
-    and entry r = n - k of the expansion at infinity for k < 0, so the
-    expansion needs r + 1 terms; r < 0 is the band n < k < 0, which is
-    0 without expanding.  The order is rounded up so that a sweep over
-    k reuses a handful of cached expansions.  MAX_TERMS is a multiple
-    of the rounding, so an order within the limit stays within it.
+    f_{|n|} is palindromic of degree |n|, so one expansion serves both
+    sides: r = k for k >= 0 and r = n - k for k < 0 when n < 0, and
+    r = min(k, n - k) when n >= 0.  r < 0 (the band n < k < 0, or k
+    outside 0 <= k <= n) is 0 without expanding.  The order r + 1 is
+    rounded up so that a sweep over k reuses a handful of cached
+    expansions; MAX_TERMS is a multiple of the rounding, so an order
+    within the limit stays within it.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    point = ExpansionPoint.AT_ZERO if k >= 0 else ExpansionPoint.AT_INFINITY
-    r = k if k >= 0 else n - k
-    return _gf_cached(n, b, point, _bucket(r + 1)).coeffs[r] if r >= 0 else 0
+    if n >= 0:
+        r = min(k, n - k)
+    else:
+        r = k if k >= 0 else n - k
+    return _gf_cached(n, b, _bucket(r + 1)).coeffs[r] if r >= 0 else 0

@@ -8,12 +8,14 @@ Usage errors include a --prime that is not prime, bounds under which a
 sweep checks no case, a verify option that no selected suite takes
 (--kmax for aggregation, --base for lucas, --prime for a base-swept
 suite; --suite all applies each option to the suites that take it),
-a pascal-defect table with --nmax or --kmax below 1, and a request
-past the size limit: a binom value for n < 0 whose table
-or expansion would need more than MAX_TERMS = 10**6 terms, an expand
-order above it, a partitions output of more than MAX_TERMS integers
-(tuples times length), or a pascal-defect table of more than MAX_TERMS
-entries (--nmax times --kmax).  Data goes to stdout, diagnostics to stderr.
+binom --method with a --variant other than std, table --kind table1
+with --base, --variant, --nmax or --kmax, a pascal-defect table with
+--nmax or --kmax below 1, and a request past the size limit: a binom
+value for n < 0 whose table or expansion would need more than
+MAX_TERMS = 10**6 terms, an expand order above it, a partitions output
+of more than MAX_TERMS integers (tuples times length), or a
+pascal-defect table of more than MAX_TERMS entries (--nmax times
+--kmax).  Data goes to stdout, diagnostics to stderr.
 Everything is exact integer arithmetic serialized as decimal strings;
 identical invocations produce byte-identical output.  verify calls
 each selected suite's check once.
@@ -81,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--variant", choices=["std", "star", "dstar"], default="std")
-    p.add_argument("--method", choices=["auto", "series", "partition"], default="auto")
+    p.add_argument("--method", choices=["auto", "series", "partition"], help="std only")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.set_defaults(run=cmd_binom)
 
@@ -95,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="defect matrices")
     p.add_argument("--kind", choices=["table1", "pascal-defect"], required=True)
-    p.add_argument("--base", type=int, default=4)
-    p.add_argument("--variant", choices=["std", "star", "dstar"], default="star")
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--kmax", type=int, default=19)
+    p.add_argument("--base", type=int)
+    p.add_argument("--variant", choices=["std", "star", "dstar"])
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--kmax", type=int)
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.set_defaults(run=cmd_table)
 
@@ -128,7 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_binom(args) -> int:
     if args.variant == "std":
-        value = bary_binom(args.n, args.k, args.base, Method(args.method))
+        value = bary_binom(args.n, args.k, args.base, Method(args.method or "auto"))
+    elif args.method is not None:
+        raise ValueError(f"--method is not taken by --variant {args.variant}")
     elif args.variant == "star":
         value = star_binom(args.n, args.k, args.base)
     else:
@@ -164,10 +168,15 @@ def cmd_expand(args) -> int:
 
 
 def cmd_table(args) -> int:
+    # pascal-defect falls back to Table 1's base, variant and bounds
+    options = {"base": 4, "variant": "star", "nmax": 10, "kmax": 19}
+    given = {o: getattr(args, o) for o in options if getattr(args, o) is not None}
     if args.kind == "table1":
+        if given:
+            raise ValueError(f"--{next(iter(given))} is not taken by --kind table1")
         rows = identities.table1_matrix()
     else:
-        rows = identities.pascal_defect_matrix(args.base, args.variant, args.nmax, args.kmax)
+        rows = identities.pascal_defect_matrix(*(options | given).values())
     if args.format == "json":
         for i, row in enumerate(rows, start=1):
             _emit_json({"n": str(i), "values": [str(v) for v in row]})

@@ -3,9 +3,9 @@
 Every check_* function sweeps an explicit finite domain, compares two
 rows at a time (the two sides of one identity over a list of k) with
 exact integer arithmetic, and returns an IdentityReport carrying any
-counterexample witnesses.  For n < 0 a row reads the tables of one of
-bary_binom's three routes, named by its Method (see _row), and which
-route each side reads is the point of a check:
+counterexample witnesses.  For n < 0 a row reads one table, serving
+both sides, of one of bary_binom's three routes, named by its Method
+(see _row), and which route each side reads is the point of a check:
 
 - pascal, pascal-power, prop33 and lucas: the shift-subtract kernel;
 - symmetry: the kernel against the partition sum at the mirror index;
@@ -104,38 +104,30 @@ def carry_free(n: int, m: int, b: int) -> bool:
     return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
-# The tables behind each route of bary_binom for n < 0 (AUTO reads the
-# kernel), as the zero-side table and the infinity-side table, each
-# indexed from the start of its support and covering at least span + 1
-# entries.  The lambdas look their functions up as module globals at
-# call time, so a patched module attribute is what a sweep reads.
-_SIDES = {
-    # f_|n| is palindromic: one kernel table serves both expansion points
-    Method.AUTO: lambda n, b, span: (shift_subtract_table(n, b, span),) * 2,
-    Method.PARTITION: lambda n, b, span: (
-        partition_value_table(n, b, False, span),
-        partition_value_table(n, b, True, span),
-    ),
-    Method.SERIES: lambda n, b, span: tuple(
-        gf_expand(n, b, point, span + 1).coeffs for point in ExpansionPoint
-    ),
+# The table [x^r] 1/f_|n|, r = 0..span at least, of each route of
+# bary_binom for n < 0 (AUTO reads the kernel); f_|n| is palindromic, so
+# it serves both expansion points.  The lambdas look their functions up
+# as module globals at call time, so a patched one is what a sweep reads.
+_TABLES = {
+    Method.AUTO: lambda n, b, span: shift_subtract_table(n, b, span),
+    Method.PARTITION: lambda n, b, span: partition_value_table(n, b, span),
+    Method.SERIES: lambda n, b, span: gf_expand(n, b, ExpansionPoint.AT_ZERO, span + 1).coeffs,
 }
 
 
 def _row(n: int, b: int, ks: Sequence[int], method: Method = Method.AUTO) -> list[int]:
     """binom(n, k)_b for every k in ks, in order.
 
-    n >= 0 reads the digit product.  n < 0 reads one pair of tables
-    of the method's route at the least span that covers ks: entry k on
-    the zero side for k >= 0, entry n - k on the infinity side for
-    k <= n, and 0 in the band n < k < 0.
+    n >= 0 reads the digit product.  n < 0 reads one table of the
+    method's route at the least span that covers ks: entry k for
+    k >= 0, entry n - k for k <= n, and 0 in the band n < k < 0.
     """
     if n >= 0:
         return [bary_binom(n, k, b) for k in ks]
     if not ks:
         return []
-    zero, inf = _SIDES[method](n, b, max(0, max(ks), n - min(ks)))
-    return [zero[k] if k >= 0 else inf[n - k] if k <= n else 0 for k in ks]
+    table = _TABLES[method](n, b, max(0, max(ks), n - min(ks)))
+    return [table[k] if k >= 0 else table[n - k] if k <= n else 0 for k in ks]
 
 
 _VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
@@ -181,8 +173,8 @@ def check_symmetry(
     """binom(n, k)_b = binom(n, n - k)_b for every integer pair.
 
     For n < 0 the left side reads the shift-subtract table and the right
-    side the partition sum, so the kernel's palindrome is never compared
-    with itself.
+    side the partition table, one per n, at the mirror index, so the
+    kernel is never compared with itself.
     """
     t = _Tally()
     ks = range(-k_max, k_max + 1)
@@ -320,12 +312,13 @@ def check_chu_negative(
     and reports k >= m; the infinity side with the partition sum, so a
     kernel fault cannot cancel against itself there.  Tables are packed
     once per base, n_max kernel and partition tables of at least
-    k_max + 1 entries, and freed before the next base's.
+    k_max + 1 entries (slot r of the partition table of -s is
+    binom(-s, -s - r)), and freed before the next base's.
     """
     t, size = _Tally(), max(k_max + 1, 0)
     for b in bases:
         kernel = {s: shift_subtract_table(-s, b, k_max) for s in range(1, n_max + 1)}
-        at_inf = {s: partition_value_table(-s, b, True, k_max) for s in range(2, n_max + 1)}
+        at_inf = {s: partition_value_table(-s, b, k_max) for s in range(2, n_max + 1)}
         w = _pack_tables(kernel, at_inf)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
@@ -367,15 +360,16 @@ def check_chu_mixed(
     r = k - (n - m); its left side is the partition sum, so a kernel
     fault cannot cancel against itself there.  Tables are packed once
     per base, n_max kernel tables of at least max(n_max, k_max) + 1
-    entries, partition tables of at least k_max + 1, the rows d_s and
-    their reverses, and freed before the next base's.
+    entries, partition tables of at least k_max + 1 (one per s, read
+    on the infinity side), the rows d_s and their reverses, and freed
+    before the next base's.
     """
     t, span, zero = _Tally(), max(n_max, k_max), range(max(k_max + 1, 0))
     for b in bases:
         row = {s: _row(s, b, range(s + 1)) for s in range(1, n_max + 1)}
         rev = {s: r[::-1] for s, r in row.items()}
         kernel = {s: shift_subtract_table(-s, b, span) for s in row}
-        at_inf = {s: partition_value_table(-s, b, True, k_max) for s in row}
+        at_inf = {s: partition_value_table(-s, b, k_max) for s in row}
         w = _pack_tables(kernel, at_inf, row, rev)
         for n in range(2, n_max + 1):
             for m in range(1, n):
@@ -463,8 +457,8 @@ def check_cross_oracle(
 
     The two methods share only the digit expansion, so agreement over
     the grid is a strong end-to-end check of both.  Each n reads one
-    expansion per point, of k_max + 1 terms, and one partition table
-    per side.
+    expansion at zero, of k_max + 1 terms, and one partition table;
+    f_|n| is palindromic, so each serves both sides.
     """
     t = _Tally()
     ks = range(-k_max, k_max + 1)

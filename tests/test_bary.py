@@ -163,7 +163,7 @@ def test_requests_past_the_size_limit_raise_before_allocating():
     with pytest.raises(ValueError, match="limit"):
         shift_subtract_table(-6, 4, MAX_TERMS)
     with pytest.raises(ValueError, match="limit"):
-        partition_value_table(-6, 4, True, MAX_TERMS)
+        partition_value_table(-6, 4, MAX_TERMS)
     assert len(shift_subtract_table(-6, 4, MAX_TERMS - 1)) <= MAX_TERMS + 1
     assert gf_expand(3, 2, ExpansionPoint.AT_ZERO, MAX_TERMS).order == MAX_TERMS
 
@@ -174,12 +174,33 @@ def test_caches_are_bounded():
 
 
 def test_value_tables_index_both_sides_of_the_support():
-    zero_side = partition_value_table(-6, 4, False, 10)
-    inf_side = partition_value_table(-6, 4, True, 10)
-    assert len(zero_side) >= 11 and len(inf_side) >= 11
+    # f_6 is palindromic, so entry r is the value at k = r and at k = -6 - r
+    table = partition_value_table(-6, 4, 10)
+    assert len(table) >= 11
     for r in range(11):
-        assert zero_side[r] == bary_binom_partition(-6, r, 4)
-        assert inf_side[r] == bary_binom_partition(-6, -(6 + r), 4)
+        assert table[r] == bary_binom_partition(-6, r, 4)
+        assert table[r] == bary_binom_partition(-6, -(6 + r), 4)
+        assert table[r] == partition_sum_literal(-6, -(6 + r), 4)
+
+
+def test_negative_digit_weights_are_symmetric():
+    # why one partition table serves both sides: the paper's k < 0 weights
+    # classic_binom(d, d - i) are the k >= 0 weights classic_binom(d, i),
+    # for every digit d a default sweep meets and every i it can read
+    for d in range(-9, 0):
+        for i in range(1001):
+            assert classic_binom(d, d - i) == classic_binom(d, i), (d, i)
+
+
+def test_series_route_answers_positive_n_from_the_support_and_the_palindrome():
+    # n >= 0 reads entry min(k, n - k) at zero and is 0 outside 0 <= k <= n,
+    # so none of these expands past a few terms
+    for n, k, b in ((10**7, -1, 3), (5, 10**7, 3), (10**7, 10**7 - 1, 3)):
+        assert bary_binom(n, k, b, Method.SERIES) == bary_binom(n, k, b), (n, k, b)
+    for b in (2, 3, 5):
+        for n in range(0, 40):
+            for k in range(-5, 50):
+                assert bary_binom(n, k, b, Method.SERIES) == bary_binom(n, k, b), (n, k, b)
 
 
 def test_dispatch_rejects_mismatched_methods():
@@ -192,7 +213,7 @@ def test_dispatch_rejects_mismatched_methods():
     with pytest.raises(ValueError):
         bary_binom_series(-5, 2, 0)
     with pytest.raises(ValueError):
-        partition_value_table(5, 4, False, 10)
+        partition_value_table(5, 4, 10)
     with pytest.raises(ValueError):
         shift_subtract_table(5, 4, 10)
     with pytest.raises(ValueError):

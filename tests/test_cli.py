@@ -221,6 +221,9 @@ def test_usage_errors_exit_with_two(capsys):
         ("binom", "--base", "4", "--n", "-6", "--k", "-1000000000000", "--method", "series"),
         ("expand", "--base", "4", "--n", "-6", "--at", "zero", "--order", "1000000000000"),
         ("table", "--kind", "pascal-defect", "--nmax", "1001", "--kmax", "1000"),
+        # options the chosen form never reads
+        ("binom", "--base", "4", "--n", "-6", "--k", "7", "--variant", "star", "--method", "series"),
+        ("table", "--kind", "table1", "--base", "3"),
     ]
     for argv in bad:
         code, out, err = run(capsys, *argv)

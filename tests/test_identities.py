@@ -4,7 +4,7 @@ import inspect
 import pytest
 from hypothesis import example, given, strategies as st
 
-from barybinom import identities
+from barybinom import bary, identities
 from barybinom.altdefs import star_binom
 from barybinom.bary import Method, bary_binom, shift_subtract_table
 from barybinom.classic import classic_binom
@@ -141,11 +141,11 @@ def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monk
 
 
 def faulty_partition_table(monkeypatch):
-    # entry 5 of both (-7, 3) partition tables is off by one
+    # entry 5 of the (-7, 3) partition table is off by one
     real = identities.partition_value_table
 
-    def faulty(n, b, negative, limit):
-        table = real(n, b, negative, limit)
+    def faulty(n, b, limit):
+        table = real(n, b, limit)
         if (n, b) == (-7, 3):
             table = table[:5] + (table[5] + 1,) + table[6:]
         return table
@@ -184,8 +184,25 @@ def test_one_wrong_series_coefficient_shows_only_in_cross_oracle(monkeypatch):
 
     monkeypatch.setattr(identities, "gf_expand", faulty)
     r = check_cross_oracle(bases=(3,), n_max=10, k_max=20)
-    assert [w.inputs for w in r.failures] == [(3, -7, 5)]
+    # one expansion at zero serves both sides: entry 5 is k = 5 and k = -12
+    assert [w.inputs for w in r.failures] == [(3, -7, -12), (3, -7, 5)]
     assert check_symmetry(bases=(3,), n_max=12, k_max=24).passed
+
+
+def test_sweeps_build_one_partition_table_and_one_expansion_per_n(monkeypatch):
+    bary._value_table.cache_clear()
+    assert check_symmetry(bases=(3,), n_max=12, k_max=24).passed
+    assert bary._value_table.cache_info().misses == 12
+    calls = []
+    real = identities.gf_expand
+
+    def counted(n, b, point, order):
+        calls.append((n, point))
+        return real(n, b, point, order)
+
+    monkeypatch.setattr(identities, "gf_expand", counted)
+    assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
+    assert calls == [(n, ExpansionPoint.AT_ZERO) for n in range(-10, 0)]
 
 
 @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
