@@ -8,24 +8,26 @@ coefficient extraction from the truncated generating-function expansion
 at zero (series route) and the restricted-partition sum over closed-form
 classic binomials (partition route).  They share nothing past the digit
 expansion, which is what makes the cross-oracle sweeps meaningful.
-f_{|n|} is palindromic, so each route builds one table per (n, b) and
-reads entry r = k for k >= 0 and entry r = n - k for k <= n.
+f_{|n|} is palindromic, so each route builds one table per (n, b), and
+row reads values off it: entry r = k for k >= 0, r = n - k for k <= n.
 
-Every table and expansion is cached in an lru_cache of CACHE_SIZE
-entries, and none may need more than MAX_TERMS terms.
+The tables of every route share one lru_cache of CACHE_SIZE entries.
+Each is rounded up to a multiple of 64 terms, so nearby requests share
+one table, and none is longer than MAX_TERMS.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 from .classic import classic_binom
 from .digits import to_digits
 from .series import MAX_TERMS, ExpansionPoint, gf_expand
 
-# entries per table or expansion cache: sweeps and row scans reuse a
-# table in runs per (n, b), not across the whole process
+# tables in the one cache: sweeps and row scans reuse a table in runs
+# per (n, b), not across the whole process
 CACHE_SIZE = 32
 
 
@@ -84,16 +86,16 @@ def _digit_product(n: int, k: int, b: int) -> int:
     return prod
 
 
-def _bucket(need: int) -> int:
-    # round the table/order size up so nearby queries share one cache entry
-    return max(64, -(-need // 64) * 64)
+# the one table cache, keyed by the route's builder
+_cache = lru_cache(maxsize=CACHE_SIZE)(lambda build, n, base, size: build(n, base, size))
 
 
-def _table_limit(limit: int) -> int:
-    # entries 0..limit need limit + 1 terms; refuse before allocating
+def _table(build, n: int, base: int, limit: int) -> tuple[int, ...]:
+    # entries 0..limit need limit + 1 terms: refused past MAX_TERMS before
+    # allocating, else rounded up to a multiple of 64 (as MAX_TERMS is)
     if limit >= MAX_TERMS:
         raise ValueError(f"a table of {limit + 1} terms exceeds the limit of {MAX_TERMS}")
-    return _bucket(limit)
+    return _cache(build, n, base, max(64, -(-(limit + 1) // 64) * 64))
 
 
 def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
@@ -101,28 +103,26 @@ def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
 
     Entry r is binom(n, r)_base on the zero side and, since f_{|n|} is
     palindromic of degree |n|, binom(n, n - r)_base on the infinity
-    side.  The returned tuple covers at least limit + 1 entries; it is
-    rounded up so nearby requests share one cached table.
+    side.  The tuple covers at least limit + 1 entries.
     """
     if n >= 0:
         raise ValueError("shift-subtract tables are defined for n < 0 only")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    return _shift_subtract(-n, base, _table_limit(limit))
+    return _table(_shift_subtract, n, base, limit)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _shift_subtract(m: int, base: int, limit: int) -> tuple[int, ...]:
+def _shift_subtract(n: int, base: int, size: int) -> tuple[int, ...]:
     # Start from 1 and divide by (1 + x^step) once per unit of each digit
-    # of m: one ascending in-place pass c[r] -= c[r - step] per division.
-    # A factor with step > limit leaves entries 0..limit unchanged.
-    c = [0] * (limit + 1)
+    # of |n|: one ascending in-place pass c[r] -= c[r - step] per division.
+    # A factor with step >= size leaves every kept entry unchanged.
+    c = [0] * size
     c[0] = 1
-    step = 1
-    while m and step <= limit:
+    m, step = -n, 1
+    while m and step < size:
         m, d = divmod(m, base)
         for _ in range(d):
-            for r in range(step, limit + 1):
+            for r in range(step, size):
                 c[r] -= c[r - step]
         step *= base
     return tuple(c)
@@ -133,43 +133,74 @@ def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
 
     Entry r is binom(n, r)_base for 0 <= r <= limit and, since f_{|n|}
     is palindromic of degree |n|, binom(n, n - r)_base on the infinity
-    side.  The returned tuple covers at least limit + 1 entries; it is
-    rounded up so nearby requests share one cached table.
-
-    The symmetry and cross-oracle sweeps read these tables as the
-    independent oracle; single queries go through bary_binom_partition.
+    side.  The tuple covers at least limit + 1 entries.
     """
     if n >= 0:
         raise ValueError("partition tables are defined for n < 0 only")
-    return _value_table(n, base, _table_limit(limit))
+    return _table(_value_table, n, base, limit)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
+def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
     # The sum over partition tuples is accumulated level by level: after
     # processing digit position l, entry r holds the sum over all partial
     # tuples (j_l, ..., j_0) with weighted sum r of the products of
     # classic_binom factors.  Positions with digit 0 force j_l = 0 and
     # are skipped.
-    cur = [0] * (limit + 1)
+    cur = [0] * size
     cur[0] = 1
     for l, d in enumerate(to_digits(n, base)):
         if d == 0:
             continue
         step = base**l
-        if step > limit:
+        if step >= size:
             break
-        weights = [classic_binom(d, i) for i in range(limit // step + 1)]
-        new = [0] * (limit + 1)
+        weights = [classic_binom(d, i) for i in range((size - 1) // step + 1)]
+        new = [0] * size
         for r, c in enumerate(cur):
             if not c:
                 continue
-            for j in range((limit - r) // step + 1):
+            for j in range((size - 1 - r) // step + 1):
                 w = weights[j]
                 if w:
                     new[r + j * step] += w * c
         cur = new
     return tuple(cur)
+
+
+def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:
+    """Coefficients [x^r] f_{n,base}(x) at zero for 0 <= r <= limit,
+    by gf_expand: entry r is binom(n, r)_base and, for n < 0, also
+    binom(n, n - r)_base.  The tuple covers at least limit + 1 entries.
+    """
+    return _table(_series, n, base, limit)
+
+
+def _series(n: int, base: int, size: int) -> tuple[int, ...]:
+    return gf_expand(n, base, ExpansionPoint.AT_ZERO, size).coeffs
+
+
+# Each route's table [x^r] 1/f_|n| for n < 0 (AUTO reads the kernel); the
+# lambdas look their functions up at call time, so row reads a patched one.
+_TABLES = {
+    Method.AUTO: lambda n, b, span: shift_subtract_table(n, b, span),
+    Method.PARTITION: lambda n, b, span: partition_value_table(n, b, span),
+    Method.SERIES: lambda n, b, span: series_table(n, b, span),
+}
+
+
+def row(n: int, base: int, ks: Sequence[int], method: Method = Method.AUTO) -> list[int]:
+    """binom(n, k)_base for every k in ks, in order.
+
+    n >= 0 reads the digit product.  n < 0 reads one table of the
+    method's route at the least span that covers ks: entry k for
+    k >= 0, entry n - k for k <= n, and 0 in the band n < k < 0.  When
+    every k is in the band no table is built.
+    """
+    if n >= 0:
+        return [bary_binom(n, k, base) for k in ks]
+    span = max(max(ks, default=-1), n - min(ks, default=0))
+    table = _TABLES[method](n, base, span) if span >= 0 else ()
+    return [table[k] if k >= 0 else table[n - k] if k <= n else 0 for k in ks]
 
 
 def bary_binom_partition(n: int, k: int, b: int) -> int:
@@ -184,30 +215,19 @@ def bary_binom_partition(n: int, k: int, b: int) -> int:
         raise ValueError("partition method applies to n < 0 only")
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    r = k if k >= 0 else n - k
-    return partition_value_table(n, b, r)[r] if r >= 0 else 0
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _gf_cached(n: int, b: int, order: int):
-    return gf_expand(n, b, ExpansionPoint.AT_ZERO, order)
+    return row(n, b, (k,), Method.PARTITION)[0]
 
 
 def bary_binom_series(n: int, k: int, b: int) -> int:
     """binom(n, k)_b by expanding f_{n,b} at zero and reading entry r.
 
-    f_{|n|} is palindromic of degree |n|, so one expansion serves both
-    sides: r = k for k >= 0 and r = n - k for k < 0 when n < 0, and
-    r = min(k, n - k) when n >= 0.  r < 0 (the band n < k < 0, or k
-    outside 0 <= k <= n) is 0 without expanding.  The order r + 1 is
-    rounded up so that a sweep over k reuses a handful of cached
-    expansions; MAX_TERMS is a multiple of the rounding, so an order
-    within the limit stays within it.
+    f_{|n|} is palindromic of degree |n|, so one series_table serves
+    both sides: for n < 0 it is read as row reads it, and for n >= 0 at
+    r = min(k, n - k), which is 0 outside 0 <= k <= n without expanding.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    if n >= 0:
-        r = min(k, n - k)
-    else:
-        r = k if k >= 0 else n - k
-    return _gf_cached(n, b, _bucket(r + 1)).coeffs[r] if r >= 0 else 0
+    if n < 0:
+        return row(n, b, (k,), Method.SERIES)[0]
+    r = min(k, n - k)
+    return series_table(n, b, r)[r] if r >= 0 else 0

@@ -4,18 +4,20 @@ defect tables, partition sets, and the identity sweeps.
 Exit codes: 0 success (all sweeps PASS), 1 an identity sweep produced a
 counterexample, 2 usage error, 141 stdout was closed before all output
 was written (what a shell reports for SIGPIPE, e.g. under `| head`).
-Usage errors include a --prime that is not prime, bounds under which a
-sweep checks no case, a verify option that no selected suite takes
-(--kmax for aggregation, --base for lucas, --prime for a base-swept
-suite; --suite all applies each option to the suites that take it),
-binom --method with a --variant other than std, table --kind table1
-with --base, --variant, --nmax or --kmax, a pascal-defect table with
---nmax or --kmax below 1, and a request past the size limit: a binom
-value for n < 0 whose table or expansion would need more than
-MAX_TERMS = 10**6 terms, an expand order above it, a partitions output
-of more than MAX_TERMS integers (tuples times length), or a
-pascal-defect table of more than MAX_TERMS entries (--nmax times
---kmax).  Data goes to stdout, diagnostics to stderr.
+Usage errors include a verify --base below 2 or --prime that is not
+prime (refused before any suite runs), bounds under which a sweep
+checks no case, a verify option that no selected suite takes (--kmax
+for aggregation, --base for lucas, --prime for a base-swept suite;
+--suite all applies each option to the suites that take it), binom
+--method with a --variant other than std, table --kind table1 with
+--base, --variant, --nmax or --kmax, a pascal-defect table with --nmax
+or --kmax below 1, and a request past the size limit: a binom value
+for n < 0 whose table or expansion would need more than MAX_TERMS =
+10**6 terms, an expand order above it, a partitions --len above it
+(even when no tuple matches) or output of more than MAX_TERMS integers
+(tuples times length), or a pascal-defect table of more than MAX_TERMS
+entries (--nmax times --kmax).  Data goes to stdout, diagnostics to
+stderr.
 Everything is exact integer arithmetic serialized as decimal strings;
 identical invocations produce byte-identical output.  verify calls
 each selected suite's check once.
@@ -23,9 +25,8 @@ The environment variable BARYBINOM_WORKERS (default 1) fans the
 selected suites out across processes, one suite per task, with the
 pool clamped to the number of suites, so a one-suite run is one
 process; reports keep registry order, so the output does not depend on
-scheduling.  The value tables and expansions behind the coefficients
-are cached in bounded lru_caches of 32 entries each, and classic_binom
-in one of 2**12 entries.
+scheduling.  The tables behind the coefficients share one bounded
+lru_cache of 32 entries, and classic_binom has one of 2**12 entries.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
-from . import identities
+from . import identities, partitions
 from .altdefs import dstar_binom, star_binom
 from .bary import Method, bary_binom
 from .digits import to_digits
 from .identities import IdentityReport
-from .partitions import enumerate_partitions, enumerate_restricted
 from .series import ExpansionPoint, gf_expand
 
 MAX_WITNESS_LINES = 20
@@ -153,8 +153,6 @@ def cmd_binom(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    if args.order < 1:
-        raise ValueError("order must be >= 1")
     point = ExpansionPoint.AT_ZERO if args.at == "zero" else ExpansionPoint.AT_INFINITY
     series = gf_expand(args.n, args.base, point, args.order)
     if args.format == "json":
@@ -188,14 +186,16 @@ def cmd_table(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    if (args.length or 0) > partitions.MAX_TERMS:  # before to_digits pads to it
+        raise ValueError(f"--len {args.length} exceeds the limit of {partitions.MAX_TERMS}")
     if args.restrict is not None:
         digits = to_digits(args.restrict, args.base, args.length or 0)
-        tuples = enumerate_restricted(args.k, args.base, digits)
+        tuples = partitions.enumerate_restricted(args.k, args.base, digits)
         length = len(digits)
     else:
         if args.length is None:
             raise ValueError("--len is required without --restrict")
-        tuples = enumerate_partitions(args.k, args.base, args.length)
+        tuples = partitions.enumerate_partitions(args.k, args.base, args.length)
         length = args.length
     if args.format == "json":
         for t in tuples:
@@ -208,6 +208,8 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.base is not None and args.base < 2:
+        raise ValueError(f"--base must be >= 2, got {args.base}")
     if args.prime is not None and not _is_prime(args.prime):
         raise ValueError(f"--prime must be a prime, got {args.prime}")
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]

@@ -3,9 +3,10 @@
 Every check_* function sweeps an explicit finite domain, compares two
 rows at a time (the two sides of one identity over a list of k) with
 exact integer arithmetic, and returns an IdentityReport carrying any
-counterexample witnesses.  For n < 0 a row reads one table, serving
-both sides, of one of bary_binom's three routes, named by its Method
-(see _row), and which route each side reads is the point of a check:
+counterexample witnesses.  Every value is read through bary.row: for
+n < 0 one table, serving both sides, of one of bary_binom's three
+routes, named by its Method, and which route each side reads is the
+point of a check:
 
 - pascal, pascal-power, prop33 and lucas: the shift-subtract kernel;
 - symmetry: the kernel against the partition sum at the mirror index;
@@ -25,10 +26,10 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .altdefs import dstar_binom, star_binom
-from .bary import Method, bary_binom, partition_value_table, shift_subtract_table
+from .bary import Method, bary_binom, row
 from .classic import classic_binom
 from .digits import digit_sum, to_digits
-from .series import MAX_TERMS, ExpansionPoint, gf_expand
+from .series import MAX_TERMS
 
 # check_lucas reads its grid of about 29,000 keys past the cache (the
 # lru_cache's __wrapped__), so the cache keeps the digit-sized keys the
@@ -104,32 +105,6 @@ def carry_free(n: int, m: int, b: int) -> bool:
     return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
-# The table [x^r] 1/f_|n|, r = 0..span at least, of each route of
-# bary_binom for n < 0 (AUTO reads the kernel); f_|n| is palindromic, so
-# it serves both expansion points.  The lambdas look their functions up
-# as module globals at call time, so a patched one is what a sweep reads.
-_TABLES = {
-    Method.AUTO: lambda n, b, span: shift_subtract_table(n, b, span),
-    Method.PARTITION: lambda n, b, span: partition_value_table(n, b, span),
-    Method.SERIES: lambda n, b, span: gf_expand(n, b, ExpansionPoint.AT_ZERO, span + 1).coeffs,
-}
-
-
-def _row(n: int, b: int, ks: Sequence[int], method: Method = Method.AUTO) -> list[int]:
-    """binom(n, k)_b for every k in ks, in order.
-
-    n >= 0 reads the digit product.  n < 0 reads one table of the
-    method's route at the least span that covers ks: entry k for
-    k >= 0, entry n - k for k <= n, and 0 in the band n < k < 0.
-    """
-    if n >= 0:
-        return [bary_binom(n, k, b) for k in ks]
-    if not ks:
-        return []
-    table = _TABLES[method](n, b, max(0, max(ks), n - min(ks)))
-    return [table[k] if k >= 0 else table[n - k] if k <= n else 0 for k in ks]
-
-
 _VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
 
 
@@ -150,17 +125,17 @@ def _pascal(t: _Tally, variant: str, b: int, ks: Sequence[int], reach: int = 1) 
     window = range(lo, max(ks, default=0) + 1)
 
     @lru_cache(maxsize=2)
-    def row(m: int) -> list[int]:
+    def values(m: int) -> list[int]:
         # star and dstar extend to m = 0 as the empty digit product: 1 at
         # k = 0, else 0, which is binom(0, .)_b
         if variant == "std" or m == 0:
-            return _row(m, b, window)
+            return row(m, b, window)
         return [_VARIANTS[variant](m, k, b) for k in window]
 
     def step(key: tuple, n: int, s: int) -> None:
         sub = [k for k in ks if k] if n == s and 0 in ks else ks
         t.skipped += len(ks) - len(sub)
-        high, low = row(-n + s), row(-n)
+        high, low = values(-n + s), values(-n)
         lhs = [low[k - lo] + low[k - s - lo] for k in sub]
         t.compare(key, sub, lhs, [high[k - lo] for k in sub])
 
@@ -180,8 +155,8 @@ def check_symmetry(
     ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(-n_max, n_max + 1):
-            mirror = _row(n, b, [n - k for k in ks], Method.PARTITION)
-            t.compare((b, n), ks, _row(n, b, ks), mirror)
+            mirror = row(n, b, [n - k for k in ks], Method.PARTITION)
+            t.compare((b, n), ks, row(n, b, ks), mirror)
     return t.report("symmetry", f"b in {_fmt(bases)}, |n| <= {n_max}, |k| <= {k_max}")
 
 
@@ -253,9 +228,9 @@ def check_prop33(
                 for j in range(0, bs + 1, bm):
                     w = bary_binom(bs - bm, j, b)
                     if w:
-                        term = _row(-n + bm, b, [k - j for k in ks])
+                        term = row(-n + bm, b, [k - j for k in ks])
                         rhs = [r + w * v for r, v in zip(rhs, term)]
-                t.compare((b, n, s, m), ks, _row(-n + bs, b, ks), rhs)
+                t.compare((b, n, s, m), ks, row(-n + bs, b, ks), rhs)
     return t.report(
         "prop33",
         f"b in {_fmt(bases)}, n multiples of b up to {n_max}, all (s,m), "
@@ -311,14 +286,14 @@ def check_chu_negative(
     it with the kernel table of -(n+m) at every k >= 0, where it holds,
     and reports k >= m; the infinity side with the partition sum, so a
     kernel fault cannot cancel against itself there.  Tables are packed
-    once per base, n_max kernel and partition tables of at least
-    k_max + 1 entries (slot r of the partition table of -s is
-    binom(-s, -s - r)), and freed before the next base's.
+    once per base, n_max kernel and partition rows of k_max + 1 entries
+    (slot r of the partition row of -s is binom(-s, -s - r)), and freed
+    before the next base's.
     """
     t, size = _Tally(), max(k_max + 1, 0)
     for b in bases:
-        kernel = {s: shift_subtract_table(-s, b, k_max) for s in range(1, n_max + 1)}
-        at_inf = {s: partition_value_table(-s, b, k_max) for s in range(2, n_max + 1)}
+        kernel = {s: row(-s, b, range(size)) for s in range(1, n_max + 1)}
+        at_inf = {s: row(-s, b, range(size), Method.PARTITION) for s in range(2, n_max + 1)}
         w = _pack_tables(kernel, at_inf)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
@@ -359,30 +334,29 @@ def check_chu_mixed(
     kernel table of -n with the reversed row d_m, read at slot
     r = k - (n - m); its left side is the partition sum, so a kernel
     fault cannot cancel against itself there.  Tables are packed once
-    per base, n_max kernel tables of at least max(n_max, k_max) + 1
-    entries, partition tables of at least k_max + 1 (one per s, read
-    on the infinity side), the rows d_s and their reverses, and freed
-    before the next base's.
+    per base, n_max kernel rows of max(n_max, k_max) + 1 entries,
+    partition rows of k_max + 1 (one per s, read on the infinity side),
+    the rows d_s and their reverses, and freed before the next base's.
     """
     t, span, zero = _Tally(), max(n_max, k_max), range(max(k_max + 1, 0))
     for b in bases:
-        row = {s: _row(s, b, range(s + 1)) for s in range(1, n_max + 1)}
-        rev = {s: r[::-1] for s, r in row.items()}
-        kernel = {s: shift_subtract_table(-s, b, span) for s in row}
-        at_inf = {s: partition_value_table(-s, b, k_max) for s in row}
-        w = _pack_tables(kernel, at_inf, row, rev)
+        pos = {s: row(s, b, range(s + 1)) for s in range(1, n_max + 1)}
+        rev = {s: r[::-1] for s, r in pos.items()}
+        kernel = {s: row(-s, b, range(span + 1)) for s in pos}
+        at_inf = {s: row(-s, b, zero, Method.PARTITION) for s in pos}
+        w = _pack_tables(kernel, at_inf, pos, rev)
         for n in range(2, n_max + 1):
             for m in range(1, n):
                 if not carry_free(m, n - m, b):
                     t.skipped += 1
                     continue
-                key, pos = (b, n, m), range(n - m + 1)
-                t.compare_packed(key, pos, row[n - m], row[n] * kernel[m], w, "pos-j")
-                t.compare_packed(key, pos, rev[n - m], rev[n] * kernel[m], w, "pos-s", True)
-                t.compare_packed(key, zero, kernel[n - m], kernel[n] * row[m], w, "neg-zero")
+                key, ks = (b, n, m), range(n - m + 1)
+                t.compare_packed(key, ks, pos[n - m], pos[n] * kernel[m], w, "pos-j")
+                t.compare_packed(key, ks, rev[n - m], rev[n] * kernel[m], w, "pos-s", True)
+                t.compare_packed(key, zero, kernel[n - m], kernel[n] * pos[m], w, "neg-zero")
                 inf = range(-(n - m), -(n - m) - len(zero), -1)
                 t.compare_packed(key, inf, at_inf[n - m], kernel[n] * rev[m], w, "neg-inf")
-        del kernel, at_inf, row, rev
+        del kernel, at_inf, pos, rev
     return t.report(
         "chu-mixed", f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}"
     )
@@ -398,7 +372,7 @@ def check_lucas(
     for p in primes:
         for n in range(-n_max, n_max + 1):
             lhs = [_classic_uncached(n, k) % p for k in ks]
-            t.compare((p, n), ks, lhs, [v % p for v in _row(n, p, ks)])
+            t.compare((p, n), ks, lhs, [v % p for v in row(n, p, ks)])
     return t.report("lucas", f"p in {_fmt(primes)}, |n| <= {n_max}, |k| <= {k_max}")
 
 
@@ -414,7 +388,7 @@ def check_digit_sum_aggregation(
         for n in range(1, n_max + 1):
             total = digit_sum(n, b)
             sums = [0] * (total + 1)
-            for k, v in enumerate(_row(n, b, range(n + 1))):
+            for k, v in enumerate(row(n, b, range(n + 1))):
                 if v:
                     sums[digit_sum(k, b)] += v
             js = range(total + 1)
@@ -464,7 +438,7 @@ def check_cross_oracle(
     ks = range(-k_max, k_max + 1)
     for b in bases:
         for n in range(-n_max, 0):
-            t.compare((b, n), ks, _row(n, b, ks, Method.SERIES), _row(n, b, ks, Method.PARTITION))
+            t.compare((b, n), ks, row(n, b, ks, Method.SERIES), row(n, b, ks, Method.PARTITION))
     return t.report("cross-oracle", f"b in {_fmt(bases)}, n in [-{n_max},-1], |k| <= {k_max}")
 
 

@@ -3,8 +3,9 @@
 These are the index sets of the partition-sum formula: N-tuples
 (j_{N-1}, ..., j_0) of nonnegative integers with sum of j_l * b^l equal
 to k, optionally with per-position lower bounds j_l >= n_l.  One output
-holds at most MAX_TERMS integers (tuples times N); a larger one raises
-ValueError before it is built.
+holds at most MAX_TERMS integers (tuples times N), and N is at most
+MAX_TERMS even when no tuple matches; past either, ValueError is raised
+before anything is built.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ def enumerate_partitions(k: int, b: int, N: int) -> list[tuple[int, ...]]:
         raise ValueError(f"base must be >= 2, got {b}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _check_size(1, N)  # the length alone, before any tuple is known
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     # positions with b^l > k take multiplicity 0 and are not recursed
@@ -67,11 +69,12 @@ def enumerate_restricted(k: int, b: int, digits: tuple[int, ...]) -> list[tuple[
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
+    _check_size(1, len(digits))
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if not any(digits) or not all(0 <= d < b for d in digits):
         raise ValueError(f"digits must expand a positive integer in base {b}")
-    n = sum(d * b**l for l, d in enumerate(digits))
+    n = sum(d * b**l for l, d in enumerate(digits) if d)  # no powers for the padding
     if k < n:
         return []
     lows = digits[::-1]

@@ -9,6 +9,7 @@ from barybinom.bary import (
     bary_binom_partition,
     bary_binom_series,
     partition_value_table,
+    series_table,
     shift_subtract_table,
 )
 from barybinom.classic import classic_binom
@@ -160,17 +161,17 @@ def test_requests_past_the_size_limit_raise_before_allocating():
     for point in ExpansionPoint:
         with pytest.raises(ValueError, match="limit"):
             gf_expand(-6, 4, point, k)
-    with pytest.raises(ValueError, match="limit"):
-        shift_subtract_table(-6, 4, MAX_TERMS)
-    with pytest.raises(ValueError, match="limit"):
-        partition_value_table(-6, 4, MAX_TERMS)
-    assert len(shift_subtract_table(-6, 4, MAX_TERMS - 1)) <= MAX_TERMS + 1
+    for table in (shift_subtract_table, partition_value_table, series_table):
+        with pytest.raises(ValueError, match="limit"):
+            table(-6, 4, MAX_TERMS)
+        # the largest request rounds up to exactly the limit, not past it
+        assert len(table(-1, 2, MAX_TERMS - 1)) == MAX_TERMS
     assert gf_expand(3, 2, ExpansionPoint.AT_ZERO, MAX_TERMS).order == MAX_TERMS
 
 
 def test_caches_are_bounded():
-    for cached in (bary._shift_subtract, bary._value_table, bary._gf_cached):
-        assert cached.cache_info().maxsize == bary.CACHE_SIZE
+    # one cache holds every route's tables
+    assert bary._cache.cache_info().maxsize == bary.CACHE_SIZE
 
 
 def test_value_tables_index_both_sides_of_the_support():

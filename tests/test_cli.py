@@ -1,18 +1,32 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from barybinom import cli, identities
+from barybinom import cli, identities, partitions
+from barybinom.altdefs import dstar_binom, star_binom
+from barybinom.bary import Method, bary_binom
 from barybinom.cli import MAX_WITNESS_LINES, main
 from barybinom.identities import IdentityReport, SuiteSpec, Witness
+from barybinom.series import ExpansionPoint, gf_expand
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    # like run, without a fixture, so a hypothesis example can call it
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_binom_prints_the_bare_value(capsys):
@@ -108,10 +122,21 @@ def test_partitions_past_the_size_limit_exit_two(capsys):
         ("--base", "2", "--k", "3000", "--len", "12"),
         ("--base", "2", "--k", str(10**400), "--len", "2000"),
         ("--base", "2", "--k", "3000", "--len", "12", "--restrict", "5"),
+        # a length past the limit, refused before any padding or tuple
+        ("--base", "2", "--k", "1", "--len", str(10**12)),
+        ("--base", "4", "--k", "3", "--restrict", "6", "--len", str(10**12)),
     ):
         code, out, err = run(capsys, "partitions", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+
+
+def test_partitions_length_past_the_limit_exits_two_when_no_tuple_matches(capsys, monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_TERMS", 20)
+    code, out, _ = run(capsys, "partitions", "--base", "4", "--k", "3", "--restrict", "6", "--len", "20")
+    assert (code, out) == (0, "\t".join(f"j{l}" for l in range(19, -1, -1)) + "\n")
+    code, out, err = run(capsys, "partitions", "--base", "4", "--k", "3", "--restrict", "6", "--len", "21")
+    assert (code, out, err) == (2, "", "error: --len 21 exceeds the limit of 20\n")
 
 
 def test_table_reproduces_first_rows(capsys, table1):
@@ -229,6 +254,16 @@ def test_usage_errors_exit_with_two(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: "), argv
+    # a verify --base below 2 is refused before any suite runs, naming the
+    # option (the pascal sweeps would divide by it, prop33 step by it)
+    for suite, base in (
+        ("pascal", "0"), ("star-pascal", "0"), ("dstar-pascal", "0"),
+        ("pascal", "1"), ("star-pascal", "1"), ("dstar-pascal", "1"),
+        ("prop33", "0"), ("symmetry", "-3"),
+    ):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--base", base)
+        assert (code, out) == (2, ""), (suite, base)
+        assert err == f"error: --base must be >= 2, got {base}\n", (suite, base)
 
 
 def test_verify_rejects_empty_sweeps_and_composite_primes(capsys):
@@ -349,3 +384,94 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert proc.wait(timeout=60) == 141
     assert lines == [b"exponent\tcoefficient\n", b"0\t1\n"]
     assert b"Traceback" not in err
+
+
+VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(-30, 30),
+    st.integers(-40, 40),
+    st.sampled_from(sorted(VARIANTS)),
+    st.sampled_from([None, "auto", "series", "partition"]),
+    st.sampled_from(["tsv", "json"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_binom_prints_the_library_value_or_exits_two(b, n, k, variant, method, fmt):
+    argv = ["binom", "--base", b, "--n", n, "--k", k, "--variant", variant, "--format", fmt]
+    code, out, err = run_captured(*argv, *(["--method", method] if method else []))
+    # usage errors, as README lists them: a base below 2, --method with a
+    # star variant, and the partition route or a star variant for n >= 0
+    usage = b < 2 or (method is not None and variant != "std")
+    if usage or (n >= 0 and (method == "partition" or variant != "std")):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        return
+    if variant == "std":
+        value = bary_binom(n, k, b, Method(method or "auto"))
+    else:
+        value = VARIANTS[variant](n, k, b)
+    assert (code, err) == (0, "")
+    if fmt == "tsv":
+        assert out == f"{value}\n"
+    else:
+        assert json.loads(out) == {
+            "n": str(n), "k": str(k), "base": str(b), "variant": variant, "value": str(value)
+        }
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(-30, 30),
+    st.sampled_from(list(ExpansionPoint)),
+    st.integers(-1, 40),
+    st.sampled_from(["tsv", "json"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_expand_prints_the_library_terms_or_exits_two(b, n, point, order, fmt):
+    code, out, err = run_captured(
+        "expand", "--base", b, "--n", n, "--at", point.value, "--order", order, "--format", fmt
+    )
+    if b < 2 or order < 1:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        return
+    terms = [(str(e), str(c)) for e, c in gf_expand(n, b, point, order).terms()]
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if fmt == "tsv":
+        assert lines[0] == "exponent\tcoefficient"
+        assert [tuple(line.split("\t")) for line in lines[1:]] == terms
+    else:
+        assert [(d["exponent"], d["coefficient"]) for d in map(json.loads, lines)] == terms
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from(sorted(VARIANTS)),
+    st.integers(-1, 8),
+    st.integers(-1, 12),
+    st.sampled_from(["tsv", "json"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_pascal_defect_table_prints_the_library_rows_or_exits_two(b, variant, nmax, kmax, fmt):
+    code, out, err = run_captured(
+        "table", "--kind", "pascal-defect", "--base", b, "--variant", variant,
+        "--nmax", nmax, "--kmax", kmax, "--format", fmt,
+    )
+    if b < 2 or min(nmax, kmax) < 1:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        return
+    rows = identities.pascal_defect_matrix(b, variant, nmax, kmax)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if fmt == "tsv":
+        assert lines[0] == "\t".join(f"k{j}" for j in range(1, kmax + 1))
+        assert [tuple(map(int, line.split("\t"))) for line in lines[1:]] == list(rows)
+    else:
+        got = [json.loads(line) for line in lines]
+        assert got == [
+            {"n": str(i), "values": [str(v) for v in row]} for i, row in enumerate(rows, start=1)
+        ]

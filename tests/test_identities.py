@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 
 import pytest
@@ -8,7 +7,6 @@ from barybinom import bary, identities
 from barybinom.altdefs import star_binom
 from barybinom.bary import Method, bary_binom, shift_subtract_table
 from barybinom.classic import classic_binom
-from barybinom.series import ExpansionPoint
 from barybinom.identities import (
     SUITES,
     IdentityReport,
@@ -114,7 +112,7 @@ def test_chu_negative_counts_carrying_pairs_as_skipped():
 def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monkeypatch):
     # symmetry compares the kernel with the partition sum, so a fault in
     # the kernel's palindrome cannot cancel against itself there
-    real = identities.shift_subtract_table
+    real = bary.shift_subtract_table
 
     def faulty(n, b, limit):
         table = real(n, b, limit)
@@ -122,7 +120,7 @@ def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monk
             table = table[:5] + (table[5] + 1,) + table[6:]
         return table
 
-    monkeypatch.setattr(identities, "shift_subtract_table", faulty)
+    monkeypatch.setattr(bary, "shift_subtract_table", faulty)
     for sweep in (
         lambda: check_symmetry(bases=(3,), n_max=12, k_max=24),
         lambda: check_pascal(bases=(3,), n_max=12, k_max=24),
@@ -142,7 +140,7 @@ def test_one_wrong_kernel_entry_is_caught_and_cross_oracle_does_not_read_it(monk
 
 def faulty_partition_table(monkeypatch):
     # entry 5 of the (-7, 3) partition table is off by one
-    real = identities.partition_value_table
+    real = bary.partition_value_table
 
     def faulty(n, b, limit):
         table = real(n, b, limit)
@@ -150,7 +148,7 @@ def faulty_partition_table(monkeypatch):
             table = table[:5] + (table[5] + 1,) + table[6:]
         return table
 
-    monkeypatch.setattr(identities, "partition_value_table", faulty)
+    monkeypatch.setattr(bary, "partition_value_table", faulty)
 
 
 def test_one_wrong_partition_entry_shows_exactly_where_the_partition_sum_is_read(monkeypatch):
@@ -173,16 +171,15 @@ def test_one_wrong_partition_entry_shows_exactly_where_the_partition_sum_is_read
 
 
 def test_one_wrong_series_coefficient_shows_only_in_cross_oracle(monkeypatch):
-    real = identities.gf_expand
+    real = bary.series_table
 
-    def faulty(n, b, point, order):
-        s = real(n, b, point, order)
-        if (n, b, point) == (-7, 3, ExpansionPoint.AT_ZERO):
-            c = s.coeffs
-            s = dataclasses.replace(s, coeffs=c[:5] + (c[5] + 1,) + c[6:])
-        return s
+    def faulty(n, b, limit):
+        table = real(n, b, limit)
+        if (n, b) == (-7, 3):
+            table = table[:5] + (table[5] + 1,) + table[6:]
+        return table
 
-    monkeypatch.setattr(identities, "gf_expand", faulty)
+    monkeypatch.setattr(bary, "series_table", faulty)
     r = check_cross_oracle(bases=(3,), n_max=10, k_max=20)
     # one expansion at zero serves both sides: entry 5 is k = 5 and k = -12
     assert [w.inputs for w in r.failures] == [(3, -7, -12), (3, -7, 5)]
@@ -190,19 +187,22 @@ def test_one_wrong_series_coefficient_shows_only_in_cross_oracle(monkeypatch):
 
 
 def test_sweeps_build_one_partition_table_and_one_expansion_per_n(monkeypatch):
-    bary._value_table.cache_clear()
-    assert check_symmetry(bases=(3,), n_max=12, k_max=24).passed
-    assert bary._value_table.cache_info().misses == 12
     calls = []
-    real = identities.gf_expand
+    for name in ("partition_value_table", "series_table"):
+        real = getattr(bary, name)
 
-    def counted(n, b, point, order):
-        calls.append((n, point))
-        return real(n, b, point, order)
+        def counted(n, b, limit, name=name, real=real):
+            calls.append((name, n))
+            return real(n, b, limit)
 
-    monkeypatch.setattr(identities, "gf_expand", counted)
+        monkeypatch.setattr(bary, name, counted)
+    assert check_symmetry(bases=(3,), n_max=12, k_max=24).passed
+    assert calls == [("partition_value_table", n) for n in range(-12, 0)]
+    calls.clear()
     assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
-    assert calls == [(n, ExpansionPoint.AT_ZERO) for n in range(-10, 0)]
+    assert calls == [
+        (name, n) for n in range(-10, 0) for name in ("series_table", "partition_value_table")
+    ]
 
 
 @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
@@ -221,7 +221,7 @@ def test_row_matches_the_point_route_of_its_source(method):
                 [n - 3],
             ):
                 want = [bary_binom(n, k, b, route) for k in ks]
-                assert identities._row(n, b, ks, method) == want, (b, n, ks)
+                assert bary.row(n, b, ks, method) == want, (b, n, ks)
 
 
 def test_a_wrong_but_multiplicative_kernel_shows_on_the_infinity_side(monkeypatch):
@@ -232,7 +232,7 @@ def test_a_wrong_but_multiplicative_kernel_shows_on_the_infinity_side(monkeypatc
     def base_blind(n, b, limit):
         return tuple(classic_binom(n, r) for r in range(limit + 1))
 
-    monkeypatch.setattr(identities, "shift_subtract_table", base_blind)
+    monkeypatch.setattr(bary, "shift_subtract_table", base_blind)
     r = check_chu_negative(bases=(3,), n_max=14, k_max=28)
     assert r.failures
     assert {w.inputs[-1] for w in r.failures} == {"infinity"}
@@ -481,7 +481,7 @@ CHU_FAULT_WITNESSES = {
     ],
 )
 def test_chu_witnesses_under_one_wrong_table_entry_stay_frozen(monkeypatch, fault, table, entry):
-    real = getattr(identities, table)
+    real = getattr(bary, table)
 
     def faulty(n, b, *rest):
         values = real(n, b, *rest)
@@ -489,7 +489,7 @@ def test_chu_witnesses_under_one_wrong_table_entry_stay_frozen(monkeypatch, faul
             values = values[:entry] + (values[entry] + 1,) + values[entry + 1 :]
         return values
 
-    monkeypatch.setattr(identities, table, faulty)
+    monkeypatch.setattr(bary, table, faulty)
     for sweep, want in zip((check_chu_negative, check_chu_mixed), CHU_FAULT_WITNESSES[fault]):
         report = sweep(bases=(3,), n_max=14, k_max=28)
         assert [(w.inputs, w.lhs, w.rhs) for w in report.failures] == want, sweep.__name__
@@ -500,12 +500,12 @@ def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypa
     # pos-s, which compares reversed rows, reports the fault at the k of
     # the unreversed row; counts and witnesses frozen from the earlier
     # sweeps that convolved each pair's lists one by one
-    real = identities.bary_binom
+    real = bary.bary_binom
 
     def faulty(n, k, b, *method):
         return real(n, k, b, *method) + ((n, k, b) == (5, 1, 3))
 
-    monkeypatch.setattr(identities, "bary_binom", faulty)
+    monkeypatch.setattr(bary, "bary_binom", faulty)
     failures = check_chu_mixed(bases=(3,), n_max=14, k_max=28).failures
     branches = [w.inputs[-1] for w in failures]
     assert {b: branches.count(b) for b in set(branches)} == {

@@ -88,6 +88,16 @@ def test_outputs_past_the_limit_raise_before_they_are_built(monkeypatch):
         enumerate_partitions(8, 2, 3)
 
 
+def test_a_length_past_the_limit_raises_even_when_no_tuple_matches(monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_TERMS", 20)
+    assert enumerate_restricted(3, 4, (2, 1) + (0,) * 18) == []
+    with pytest.raises(ValueError, match="20 integers"):
+        enumerate_restricted(3, 4, (2, 1) + (0,) * 19)
+    assert enumerate_partitions(0, 2, 20) == [(0,) * 20]
+    with pytest.raises(ValueError, match="20 integers"):
+        enumerate_partitions(0, 2, 21)
+
+
 def test_invalid_arguments_raise():
     with pytest.raises(ValueError):
         enumerate_partitions(3, 1, 2)
