@@ -11,6 +11,10 @@ expansion, which is what makes the cross-oracle sweeps meaningful.
 f_{|n|} is palindromic, so each route builds one table per (n, b), and
 row reads values off it: entry r = k for k >= 0, r = n - k for k <= n.
 
+For n >= 0, row builds the digit product over a whole window one digit
+level at a time (_digit_table), when the window is dense enough that
+the table is no longer than a small multiple of the row.
+
 The tables of every route share one lru_cache of CACHE_SIZE entries.
 Each is rounded up to a multiple of 64 terms, so nearby requests share
 one table, and none is longer than MAX_TERMS.
@@ -23,8 +27,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .classic import classic_binom
-from .digits import to_digits
-from .series import MAX_TERMS, ExpansionPoint, gf_expand
+from .digits import MAX_TERMS, to_digits
+from .series import ExpansionPoint, gf_expand
 
 # tables in the one cache: sweeps and row scans reuse a table in runs
 # per (n, b), not across the whole process
@@ -84,6 +88,29 @@ def _digit_product(n: int, k: int, b: int) -> int:
         if not prod:
             return 0
     return prod
+
+
+def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
+    """[_digit_product(n, sign * j, b) for j in range(top + 1)], top >= 0.
+
+    Built one digit level at a time from the top down: entry b*i + d of
+    a level is entry i of the level above times classic_binom(n_l,
+    sign * d).  Above the digits of n only entry 0 is nonzero, because a
+    nonzero digit of j against a zero digit of n gives a factor 0.
+    """
+    digits = to_digits(n, b)
+    t = [1] + [0] * (top // b ** len(digits))
+    for l in reversed(range(len(digits))):
+        low = [classic_binom(digits[l], sign * d) for d in range(b)]
+        t = [h * c for h in t for c in low][: top // b**l + 1]
+    return t
+
+
+def _tabulates(top: int, ks: Sequence[int]) -> bool:
+    """Whether a row over ks reads a digit-wise table over [0, top]: only
+    when that table is O(len(ks)) long (and within MAX_TERMS), so a huge
+    or sparse window is read point by point and allocates nothing large."""
+    return top < min(2 * len(ks) + 64, MAX_TERMS)
 
 
 # the one table cache, keyed by the route's builder
@@ -191,13 +218,19 @@ _TABLES = {
 def row(n: int, base: int, ks: Sequence[int], method: Method = Method.AUTO) -> list[int]:
     """binom(n, k)_base for every k in ks, in order.
 
-    n >= 0 reads the digit product.  n < 0 reads one table of the
-    method's route at the least span that covers ks: entry k for
-    k >= 0, entry n - k for k <= n, and 0 in the band n < k < 0.  When
-    every k is in the band no table is built.
+    n >= 0 reads the digit product: one _digit_table over
+    [0, min(n, max(ks))], outside which every value is 0, when
+    _tabulates allows it, else one bary_binom per k.  n < 0 reads one
+    table of the method's route at the least span that covers ks: entry
+    k for k >= 0, entry n - k for k <= n, and 0 in the band n < k < 0.
+    When every k is in the band no table is built.
     """
     if n >= 0:
-        return [bary_binom(n, k, base) for k in ks]
+        top = min(n, max(ks, default=-1))
+        if not _tabulates(top, ks):
+            return [bary_binom(n, k, base) for k in ks]
+        table = _digit_table(n, base, max(top, 0))
+        return [table[k] if 0 <= k <= top else 0 for k in ks]
     span = max(max(ks, default=-1), n - min(ks, default=0))
     table = _TABLES[method](n, base, span) if span >= 0 else ()
     return [table[k] if k >= 0 else table[n - k] if k <= n else 0 for k in ks]

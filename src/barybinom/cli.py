@@ -5,10 +5,12 @@ Exit codes: 0 success (all sweeps PASS), 1 an identity sweep produced a
 counterexample, 2 usage error, 141 stdout was closed before all output
 was written (what a shell reports for SIGPIPE, e.g. under `| head`).
 Usage errors include a verify --base below 2 or --prime that is not
-prime (refused before any suite runs), bounds under which a sweep
-checks no case, a verify option that no selected suite takes (--kmax
-for aggregation, --base for lucas, --prime for a base-swept suite;
---suite all applies each option to the suites that take it), binom
+prime, a verify --nmax or --kmax whose sweep rows would pass MAX_TERMS
+entries (n_max + 1 or 2 * k_max + 1; all three refused before any
+suite runs), bounds under which a sweep checks no case, a verify
+option that no selected suite takes (--kmax for aggregation, --base
+for lucas, --prime for a base-swept suite; --suite all applies each
+option to the suites that take it), binom
 --method with a --variant other than std, table --kind table1 with
 --base, --variant, --nmax or --kmax, a pascal-defect table with --nmax
 or --kmax below 1, and a request past the size limit: a binom value
@@ -212,6 +214,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--base must be >= 2, got {args.base}")
     if args.prime is not None and not _is_prime(args.prime):
         raise ValueError(f"--prime must be a prime, got {args.prime}")
+    # the widest rows: 0 <= k <= n_max (aggregation, chu-mixed) and
+    # |k| <= k_max
+    for option, width in (("nmax", (args.nmax or 0) + 1), ("kmax", 2 * (args.kmax or 0) + 1)):
+        if width > identities.MAX_TERMS:
+            raise ValueError(
+                f"--{option} {getattr(args, option)} needs sweep rows of {width} entries,"
+                f" past the limit of {identities.MAX_TERMS}"
+            )
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
     calls = [_kwargs(identities.SUITES[name], args) for name in names]
     for option, param in _PARAMS.items():

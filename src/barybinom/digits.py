@@ -3,22 +3,30 @@
 A negative integer is expanded so that every digit is nonpositive: the
 digit tuple of -n is the elementwise negation of the digit tuple of n.
 All digit-wise formulas in this package rely on that convention.
-Digits are plain tuples, least-significant first.
+Digits are plain tuples, least-significant first.  digit_sum_table
+gives S_b(j) for a whole range of j, built one digit level at a time.
 """
 
 from __future__ import annotations
+
+# The most terms one truncated expansion, one value table or one padded
+# digit tuple may need.  A request past it raises ValueError before
+# anything is allocated, where it would otherwise end in MemoryError.  A
+# multiple of 64, so bucketed sizes never round past it.
+MAX_TERMS = 10**6
 
 
 def to_digits(n: int, b: int, min_len: int = 0) -> tuple[int, ...]:
     """The sign-consistent digits of n in base b, least-significant first.
 
     The expansion of 0 is the single digit 0.  ``min_len`` zero-pads on
-    the most-significant side; it never truncates.
+    the most-significant side; it never truncates, and past MAX_TERMS it
+    is refused before padding.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    if min_len < 0:
-        raise ValueError(f"min_len must be >= 0, got {min_len}")
+    if not 0 <= min_len <= MAX_TERMS:
+        raise ValueError(f"min_len must be in [0, {MAX_TERMS}], got {min_len}")
     m = abs(n)
     digits = []
     while m:
@@ -44,3 +52,20 @@ def pair_length(n: int, k: int, b: int) -> int:
 def digit_sum(n: int, b: int) -> int:
     """S_b(n), the sum of the sign-consistent digits; S_b(-n) = -S_b(n)."""
     return sum(to_digits(n, b))
+
+
+def digit_sum_table(top: int, b: int) -> list[int]:
+    """[S_b(j) for j in range(top + 1)], for 0 <= top < MAX_TERMS.
+
+    Built one digit level at a time from the top down: entry b*i + d of
+    a level is entry i of the level above plus d.
+    """
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if not 0 <= top < MAX_TERMS:
+        raise ValueError(f"top must be in [0, {MAX_TERMS}), got {top}")
+    t, step = [0], b ** (len(to_digits(top, b)) - 1)
+    while step:
+        t = [h + d for h in t for d in range(b)][: top // step + 1]
+        step //= b
+    return t

@@ -3,10 +3,13 @@
 Every check_* function sweeps an explicit finite domain, compares two
 rows at a time (the two sides of one identity over a list of k) with
 exact integer arithmetic, and returns an IdentityReport carrying any
-counterexample witnesses.  Every value is read through bary.row: for
-n < 0 one table, serving both sides, of one of bary_binom's three
-routes, named by its Method, and which route each side reads is the
-point of a check:
+counterexample witnesses.  Every value is read a row at a time: the
+star and double-star values through altdefs.star_row and
+altdefs.dstar_row, and every other through bary.row, which for n >= 0
+builds the digit product one digit level at a time and for n < 0 reads
+one table, serving both sides, of one of bary_binom's three routes,
+named by its Method.  Which route each side reads is the point of a
+check:
 
 - pascal, pascal-power, prop33 and lucas: the shift-subtract kernel;
 - symmetry: the kernel against the partition sum at the mirror index;
@@ -15,7 +18,8 @@ point of a check:
   on the zero side and the partition sum on the infinity side.
 
 Sweep defaults are sized so the whole registry runs in well under a
-minute.
+minute.  Digit sums (carry-freeness in the chu sweeps, S_b(k) in
+aggregation) are read off one digits.digit_sum_table per base.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .altdefs import dstar_binom, star_binom
+from .altdefs import dstar_row, star_row
 from .bary import Method, bary_binom, row
 from .classic import classic_binom
-from .digits import digit_sum, to_digits
+from .digits import digit_sum, digit_sum_table, to_digits
 from .series import MAX_TERMS
 
 # check_lucas reads its grid of about 29,000 keys past the cache (the
@@ -105,7 +109,8 @@ def carry_free(n: int, m: int, b: int) -> bool:
     return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
-_VARIANTS = {"std": bary_binom, "star": star_binom, "dstar": dstar_binom}
+# each coefficient variant's row function, (n, b, ks) -> values
+_VARIANTS = {"std": row, "star": star_row, "dstar": dstar_row}
 
 
 def _pascal(t: _Tally, variant: str, b: int, ks: Sequence[int], reach: int = 1) -> Callable:
@@ -128,9 +133,7 @@ def _pascal(t: _Tally, variant: str, b: int, ks: Sequence[int], reach: int = 1) 
     def values(m: int) -> list[int]:
         # star and dstar extend to m = 0 as the empty digit product: 1 at
         # k = 0, else 0, which is binom(0, .)_b
-        if variant == "std" or m == 0:
-            return row(m, b, window)
-        return [_VARIANTS[variant](m, k, b) for k in window]
+        return _VARIANTS["std" if m == 0 else variant](m, b, window)
 
     def step(key: tuple, n: int, s: int) -> None:
         sub = [k for k in ks if k] if n == s and 0 in ks else ks
@@ -294,10 +297,10 @@ def check_chu_negative(
     for b in bases:
         kernel = {s: row(-s, b, range(size)) for s in range(1, n_max + 1)}
         at_inf = {s: row(-s, b, range(size), Method.PARTITION) for s in range(2, n_max + 1)}
-        w = _pack_tables(kernel, at_inf)
+        w, sums = _pack_tables(kernel, at_inf), digit_sum_table(max(n_max, 0), b)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
-                if not carry_free(n, m, b):
+                if sums[n] + sums[m] != sums[n + m]:  # carry_free(n, m, b)
                     t.skipped += 1
                     continue
                 key, product, zero = (b, n, m), kernel[n] * kernel[m], range(m, size)
@@ -344,10 +347,10 @@ def check_chu_mixed(
         rev = {s: r[::-1] for s, r in pos.items()}
         kernel = {s: row(-s, b, range(span + 1)) for s in pos}
         at_inf = {s: row(-s, b, zero, Method.PARTITION) for s in pos}
-        w = _pack_tables(kernel, at_inf, pos, rev)
+        w, sums = _pack_tables(kernel, at_inf, pos, rev), digit_sum_table(max(n_max, 0), b)
         for n in range(2, n_max + 1):
             for m in range(1, n):
-                if not carry_free(m, n - m, b):
+                if sums[m] + sums[n - m] != sums[n]:  # carry_free(m, n - m, b)
                     t.skipped += 1
                     continue
                 key, ks = (b, n, m), range(n - m + 1)
@@ -385,12 +388,13 @@ def check_digit_sum_aggregation(
     """
     t = _Tally()
     for b in bases:
+        digit_sums = digit_sum_table(max(n_max, 0), b)
         for n in range(1, n_max + 1):
             total = digit_sum(n, b)
             sums = [0] * (total + 1)
             for k, v in enumerate(row(n, b, range(n + 1))):
                 if v:
-                    sums[digit_sum(k, b)] += v
+                    sums[digit_sums[k]] += v
             js = range(total + 1)
             t.compare((b, n), js, [comb(total, j) for j in js], sums)
     return t.report("aggregation", f"b in {_fmt(bases)}, n in [1,{n_max}], all j")

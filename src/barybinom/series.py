@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import add
 
-from .digits import to_digits
-
-# The most terms one truncated expansion or one value table for n < 0
-# may need.  A request past it raises ValueError before anything is
-# allocated, where it would otherwise end in MemoryError.  A multiple of
-# 64, so bucketed sizes never round past it.
-MAX_TERMS = 10**6
+from .digits import MAX_TERMS, to_digits
 
 
 class ExpansionPoint(Enum):

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom.altdefs import star_binom
-from barybinom import bary
+from barybinom import altdefs, bary
+from barybinom.altdefs import dstar_binom, dstar_row, star_binom, star_row
 from barybinom.bary import (
     Method,
     bary_binom,
@@ -245,3 +245,55 @@ def test_band_between_n_and_zero_vanishes(b, n, k):
 @settings(max_examples=200)
 def test_symmetry_in_the_lower_index(b, n, k):
     assert bary_binom(n, k, b) == bary_binom(n, n - k, b)
+
+
+@st.composite
+def windows(draw, n):
+    """A list of k: ascending, mirrored about n/2, sparse, empty, or one
+    reaching past n and -n on both signs of k."""
+    lo, width = draw(st.integers(-120, 120)), draw(st.integers(0, 120))
+    ascending = range(lo, lo + width)
+    return draw(
+        st.sampled_from(
+            [
+                ascending,
+                [n - k for k in ascending],
+                [],
+                range(-abs(n) - width - 1, abs(n) + width + 2),
+            ]
+        )
+        | st.lists(st.integers(-200, 200) | st.integers(-(10**30), 10**30), max_size=8)
+    )
+
+
+# each digit-wise row function with the point function it must equal,
+# and its n (bary.row for n < 0 reads the route tables, tested above)
+ROWS = [
+    pytest.param(bary.row, bary_binom, st.integers(0, 80), id="row"),
+    pytest.param(star_row, star_binom, st.integers(-80, -1), id="star_row"),
+    pytest.param(dstar_row, dstar_binom, st.integers(-80, -1), id="dstar_row"),
+]
+
+
+@pytest.mark.parametrize("row_fn, point, ns", ROWS)
+@settings(max_examples=300)
+@given(data=st.data(), b=st.integers(2, 7))
+def test_digit_wise_rows_equal_their_point_function(row_fn, point, ns, data, b):
+    n = data.draw(ns, label="n")
+    ks = data.draw(windows(n), label="ks")
+    assert row_fn(n, b, ks) == [point(n, k, b) for k in ks]
+
+
+def test_huge_and_sparse_rows_are_read_point_by_point(monkeypatch):
+    # the tables would be far longer than the row: none is built
+    def refused(*args):
+        raise AssertionError("a digit-wise table was built")
+
+    monkeypatch.setattr(bary, "_digit_table", refused)
+    monkeypatch.setattr(altdefs, "_digit_table", refused)
+    monkeypatch.setattr(altdefs, "digit_sum_table", refused)
+    for n, b, ks in ((10**12, 2, [10**11]), (10**100, 3, [0, 5, 10**99, -1])):
+        assert bary.row(n, b, ks) == [bary_binom(n, k, b) for k in ks]
+    ks = [0, 5, 10**99, -(10**99), -1]
+    assert star_row(-(10**100), 3, ks) == [star_binom(-(10**100), k, 3) for k in ks]
+    assert dstar_row(-(10**100), 3, ks) == [dstar_binom(-(10**100), k, 3) for k in ks]

@@ -139,6 +139,28 @@ def test_partitions_length_past_the_limit_exits_two_when_no_tuple_matches(capsys
     assert (code, out, err) == (2, "", "error: --len 21 exceeds the limit of 20\n")
 
 
+def test_verify_bounds_past_the_row_limit_exit_two_before_any_suite(capsys, monkeypatch):
+    # sweep rows hold n_max + 1 and 2 * k_max + 1 entries; the limit is
+    # patched small so no huge sweep ever runs here
+    monkeypatch.setattr(identities, "MAX_TERMS", 20)
+    calls = []
+    real = identities.check_symmetry
+
+    def recording(bases=(2,), n_max=1, k_max=1):
+        calls.append((n_max, k_max))
+        return real(bases, n_max, k_max)
+
+    monkeypatch.setitem(identities.SUITES, "symmetry", SuiteSpec(recording))
+    for option, refused in (("--kmax", "10"), ("--nmax", "20")):
+        code, out, err = run(capsys, "verify", "--suite", "symmetry", "--base", "3", option, refused)
+        assert (code, out) == (2, ""), option
+        assert err == f"error: {option} {refused} needs sweep rows of 21 entries, past the limit of 20\n"
+    assert calls == []
+    code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--base", "3", "--nmax", "19", "--kmax", "9")
+    assert code == 0 and out.splitlines()[1].endswith("PASS")
+    assert calls == [(19, 9)]
+
+
 def test_table_reproduces_first_rows(capsys, table1):
     code, out, _ = run(capsys, "table", "--kind", "table1")
     lines = out.splitlines()

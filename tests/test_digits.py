@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from barybinom.digits import digit_sum, pair_length, to_digits
+from barybinom import digits
+from barybinom.digits import digit_sum, digit_sum_table, pair_length, to_digits
 
 
 def test_positive_expansion():
@@ -51,6 +52,28 @@ def test_invalid_base_rejected(bad):
 def test_negative_min_len_rejected():
     with pytest.raises(ValueError):
         to_digits(5, 2, -1)
+
+
+def test_min_len_past_the_limit_rejected_before_padding(monkeypatch):
+    # the limit is patched small
+    monkeypatch.setattr(digits, "MAX_TERMS", 20)
+    assert to_digits(6, 4, 20) == (2, 1) + (0,) * 18
+    with pytest.raises(ValueError, match=r"min_len must be in \[0, 20\], got 21"):
+        to_digits(6, 4, 21)
+
+
+@given(st.integers(0, 3000), st.integers(2, 16))
+def test_digit_sum_table_matches_digit_sum(top, b):
+    assert digit_sum_table(top, b) == [digit_sum(j, b) for j in range(top + 1)]
+
+
+def test_digit_sum_table_refuses_bad_arguments(monkeypatch):
+    assert digit_sum_table(0, 2) == [0]
+    monkeypatch.setattr(digits, "MAX_TERMS", 20)
+    assert len(digit_sum_table(19, 3)) == 20
+    for top, b in ((-1, 2), (20, 3), (5, 1)):
+        with pytest.raises(ValueError):
+            digit_sum_table(top, b)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(2, 16), st.integers(0, 40))

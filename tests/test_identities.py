@@ -499,13 +499,17 @@ def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypa
     # d_5 at base 3 with one wrong entry: its reverse is another list, so
     # pos-s, which compares reversed rows, reports the fault at the k of
     # the unreversed row; counts and witnesses frozen from the earlier
-    # sweeps that convolved each pair's lists one by one
-    real = bary.bary_binom
+    # sweeps that convolved each pair's lists one by one; d_5 is read
+    # through bary.row, which builds it as one digit table
+    real = bary._digit_table
 
-    def faulty(n, k, b, *method):
-        return real(n, k, b, *method) + ((n, k, b) == (5, 1, 3))
+    def faulty(n, b, top, *sign):
+        table = real(n, b, top, *sign)
+        if (n, b) == (5, 3):
+            table[1] += 1
+        return table
 
-    monkeypatch.setattr(bary, "bary_binom", faulty)
+    monkeypatch.setattr(bary, "_digit_table", faulty)
     failures = check_chu_mixed(bases=(3,), n_max=14, k_max=28).failures
     branches = [w.inputs[-1] for w in failures]
     assert {b: branches.count(b) for b in set(branches)} == {
@@ -520,17 +524,17 @@ def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypa
 
 def test_dstar_pascal_builds_each_row_once(monkeypatch):
     # n walks 1..29 over the window k in [0, 29]: the k in [1, 30] with
-    # 5∤k and those k - 1
+    # 5∤k and those k - 1; one dstar row per n of the walk
     calls = []
     real = identities._VARIANTS["dstar"]
 
-    def counting(n, k, b):
-        calls.append((n, k))
-        return real(n, k, b)
+    def counting(n, b, ks):
+        calls.append((n, tuple(ks)))
+        return real(n, b, ks)
 
     monkeypatch.setitem(identities._VARIANTS, "dstar", counting)
     assert check_dstar_pascal(bases=(5,), n_max=30, k_max=30).passed
-    assert sorted(calls) == sorted((-n, k) for n in range(1, 30) for k in range(30))
+    assert sorted(calls) == sorted((-n, tuple(range(30))) for n in range(1, 30))
 
 
 def test_table_generator_reproduces_the_frozen_matrix(table1):
