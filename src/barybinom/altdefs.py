@@ -11,15 +11,15 @@ only, which is the only regime where they differ.
 
 star_row and dstar_row give either coefficient for a whole list of k,
 built one digit level at a time (bary._digit_table and
-digits.digit_sum_table) when the window is dense enough, and point by
-point otherwise, under the same rule as bary.row.
+digits.digit_sum_table) over [0, max |k|]; a table past MAX_TERMS
+raises ValueError before allocating, as in bary.row.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .bary import _digit_product, _digit_table, _tabulates
+from .bary import _digit_product, _digit_table
 from .classic import classic_binom
 from .digits import digit_sum, digit_sum_table
 
@@ -50,8 +50,6 @@ def star_row(n: int, b: int, ks: Sequence[int]) -> list[int]:
     for k >= 0 and one over the negated digits for k < 0."""
     _check_args(n, b)
     hi, lo = max(ks, default=0), min(ks, default=0)
-    if not _tabulates(max(hi, -lo), ks):
-        return [_digit_product(n, k, b) for k in ks]
     pos, neg = _digit_table(n, b, max(hi, 0)), _digit_table(n, b, max(-lo, 0), -1)
     return [pos[k] if k >= 0 else neg[-k] for k in ks]
 
@@ -60,11 +58,8 @@ def dstar_row(n: int, b: int, ks: Sequence[int]) -> list[int]:
     """dstar_binom(n, k, b) for every k in ks, in order: one digit_sum
     of n and one digit-sum table over [0, max |k|], S_b(-j) = -S_b(j)."""
     _check_args(n, b)
+    sums = digit_sum_table(max(max(ks, default=0), -min(ks, default=0)), b)
     s = digit_sum(n, b)
-    top = max(max(ks, default=0), -min(ks, default=0))
-    if not _tabulates(top, ks):
-        return [classic_binom(s, digit_sum(k, b)) for k in ks]
-    sums = digit_sum_table(top, b)
     pos = [classic_binom(s, j) for j in range(max(sums) + 1)]
     neg = [classic_binom(s, -j) for j in range(len(pos))]
     return [pos[sums[k]] if k >= 0 else neg[sums[-k]] for k in ks]

@@ -12,12 +12,14 @@ f_{|n|} is palindromic, so each route builds one table per (n, b), and
 row reads values off it: entry r = k for k >= 0, r = n - k for k <= n.
 
 For n >= 0, row builds the digit product over a whole window one digit
-level at a time (_digit_table), when the window is dense enough that
-the table is no longer than a small multiple of the row.
+level at a time (_digit_table).
 
 The tables of every route share one lru_cache of CACHE_SIZE entries.
 Each is rounded up to a multiple of 64 terms, so nearby requests share
-one table, and none is longer than MAX_TERMS.
+one table, and none (digit-wise tables included) is longer than
+MAX_TERMS.  A table longer than 2 * MAX_TERMS // CACHE_SIZE terms is
+built for its one request and not cached, so the cache holds at most
+about 2 * MAX_TERMS entries.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .series import ExpansionPoint, gf_expand
 # tables in the one cache: sweeps and row scans reuse a table in runs
 # per (n, b), not across the whole process
 CACHE_SIZE = 32
+# the longest table the cache keeps: CACHE_SIZE of them are 2 * MAX_TERMS
+_CACHED_TERMS = 2 * MAX_TERMS // CACHE_SIZE
 
 
 class Method(Enum):
@@ -91,13 +95,17 @@ def _digit_product(n: int, k: int, b: int) -> int:
 
 
 def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
-    """[_digit_product(n, sign * j, b) for j in range(top + 1)], top >= 0.
+    """[_digit_product(n, sign * j, b) for j in range(top + 1)], for
+    0 <= top < MAX_TERMS; past MAX_TERMS it raises ValueError before
+    allocating.
 
     Built one digit level at a time from the top down: entry b*i + d of
     a level is entry i of the level above times classic_binom(n_l,
     sign * d).  Above the digits of n only entry 0 is nonzero, because a
     nonzero digit of j against a zero digit of n gives a factor 0.
     """
+    if top >= MAX_TERMS:
+        raise ValueError(f"a table of {top + 1} terms exceeds the limit of {MAX_TERMS}")
     digits = to_digits(n, b)
     t = [1] + [0] * (top // b ** len(digits))
     for l in reversed(range(len(digits))):
@@ -106,23 +114,18 @@ def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
     return t
 
 
-def _tabulates(top: int, ks: Sequence[int]) -> bool:
-    """Whether a row over ks reads a digit-wise table over [0, top]: only
-    when that table is O(len(ks)) long (and within MAX_TERMS), so a huge
-    or sparse window is read point by point and allocates nothing large."""
-    return top < min(2 * len(ks) + 64, MAX_TERMS)
-
-
 # the one table cache, keyed by the route's builder
 _cache = lru_cache(maxsize=CACHE_SIZE)(lambda build, n, base, size: build(n, base, size))
 
 
 def _table(build, n: int, base: int, limit: int) -> tuple[int, ...]:
     # entries 0..limit need limit + 1 terms: refused past MAX_TERMS before
-    # allocating, else rounded up to a multiple of 64 (as MAX_TERMS is)
+    # allocating, else rounded up to a multiple of 64 (as MAX_TERMS is),
+    # and cached only up to _CACHED_TERMS
     if limit >= MAX_TERMS:
         raise ValueError(f"a table of {limit + 1} terms exceeds the limit of {MAX_TERMS}")
-    return _cache(build, n, base, max(64, -(-(limit + 1) // 64) * 64))
+    size = max(64, -(-(limit + 1) // 64) * 64)
+    return _cache(build, n, base, size) if size <= _CACHED_TERMS else build(n, base, size)
 
 
 def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
@@ -219,16 +222,14 @@ def row(n: int, base: int, ks: Sequence[int], method: Method = Method.AUTO) -> l
     """binom(n, k)_base for every k in ks, in order.
 
     n >= 0 reads the digit product: one _digit_table over
-    [0, min(n, max(ks))], outside which every value is 0, when
-    _tabulates allows it, else one bary_binom per k.  n < 0 reads one
-    table of the method's route at the least span that covers ks: entry
-    k for k >= 0, entry n - k for k <= n, and 0 in the band n < k < 0.
-    When every k is in the band no table is built.
+    [0, min(n, max(ks))], outside which every value is 0.  n < 0 reads
+    one table of the method's route at the least span that covers ks:
+    entry k for k >= 0, entry n - k for k <= n, and 0 in the band
+    n < k < 0.  When every k is in the band no table is built.  A table
+    past MAX_TERMS raises ValueError before it is allocated.
     """
     if n >= 0:
         top = min(n, max(ks, default=-1))
-        if not _tabulates(top, ks):
-            return [bary_binom(n, k, base) for k in ks]
         table = _digit_table(n, base, max(top, 0))
         return [table[k] if 0 <= k <= top else 0 for k in ks]
     span = max(max(ks, default=-1), n - min(ks, default=0))

@@ -27,8 +27,9 @@ The environment variable BARYBINOM_WORKERS (default 1) fans the
 selected suites out across processes, one suite per task, with the
 pool clamped to the number of suites, so a one-suite run is one
 process; reports keep registry order, so the output does not depend on
-scheduling.  The tables behind the coefficients share one bounded
-lru_cache of 32 entries, and classic_binom has one of 2**12 entries.
+scheduling.  The tables behind the coefficients share one lru_cache of
+32 entries that keeps no table longer than 2 * MAX_TERMS // 32 terms,
+and classic_binom has one of 2**12 entries.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ check:
   on the zero side and the partition sum on the infinity side.
 
 Sweep defaults are sized so the whole registry runs in well under a
-minute.  Digit sums (carry-freeness in the chu sweeps, S_b(k) in
-aggregation) are read off one digits.digit_sum_table per base.
+minute.  Digit sums are read off one digits.digit_sum_table per base:
+S_b(n) and S_b(k) in aggregation, and carry-freeness in the chu
+sweeps, since each carry in n + m lowers S_b(n + m) by b - 1.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .altdefs import dstar_row, star_row
-from .bary import Method, bary_binom, row
+from .bary import Method, row
 from .classic import classic_binom
-from .digits import digit_sum, digit_sum_table, to_digits
+from .digits import digit_sum_table, to_digits
 from .series import MAX_TERMS
 
 # check_lucas reads its grid of about 29,000 keys past the cache (the
@@ -97,16 +98,6 @@ class _Tally:
     def report(self, identity_id: str, domain: str) -> IdentityReport:
         failures = tuple(self.failures)
         return IdentityReport(identity_id, domain, self.checked, failures, self.skipped)
-
-
-def carry_free(n: int, m: int, b: int) -> bool:
-    """True when adding n and m in base b carries in no digit position."""
-    if n <= 0 or m <= 0:
-        raise ValueError("carry_free is defined for positive n and m")
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    # each carry lowers the digit sum of n + m by b - 1
-    return digit_sum(n, b) + digit_sum(m, b) == digit_sum(n + m, b)
 
 
 # each coefficient variant's row function, (n, b, ks) -> values
@@ -228,8 +219,8 @@ def check_prop33(
                 bm = b**m
                 ks = [*range(bs, bs + k_max + 1), *range(-n + bm - k_max, -n + bm + 1)]
                 rhs = [0] * len(ks)
-                for j in range(0, bs + 1, bm):
-                    w = bary_binom(bs - bm, j, b)
+                js = range(0, bs + 1, bm)
+                for j, w in zip(js, row(bs - bm, b, js)):
                     if w:
                         term = row(-n + bm, b, [k - j for k in ks])
                         rhs = [r + w * v for r, v in zip(rhs, term)]
@@ -300,7 +291,7 @@ def check_chu_negative(
         w, sums = _pack_tables(kernel, at_inf), digit_sum_table(max(n_max, 0), b)
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
-                if sums[n] + sums[m] != sums[n + m]:  # carry_free(n, m, b)
+                if sums[n] + sums[m] != sums[n + m]:  # n + m carries
                     t.skipped += 1
                     continue
                 key, product, zero = (b, n, m), kernel[n] * kernel[m], range(m, size)
@@ -350,7 +341,7 @@ def check_chu_mixed(
         w, sums = _pack_tables(kernel, at_inf, pos, rev), digit_sum_table(max(n_max, 0), b)
         for n in range(2, n_max + 1):
             for m in range(1, n):
-                if sums[m] + sums[n - m] != sums[n]:  # carry_free(m, n - m, b)
+                if sums[m] + sums[n - m] != sums[n]:  # m + (n - m) carries
                     t.skipped += 1
                     continue
                 key, ks = (b, n, m), range(n - m + 1)
@@ -390,7 +381,7 @@ def check_digit_sum_aggregation(
     for b in bases:
         digit_sums = digit_sum_table(max(n_max, 0), b)
         for n in range(1, n_max + 1):
-            total = digit_sum(n, b)
+            total = digit_sums[n]
             sums = [0] * (total + 1)
             for k, v in enumerate(row(n, b, range(n + 1))):
                 if v:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom import altdefs, bary
+from barybinom import bary, digits
 from barybinom.altdefs import dstar_binom, dstar_row, star_binom, star_row
 from barybinom.bary import (
     Method,
@@ -170,8 +170,18 @@ def test_requests_past_the_size_limit_raise_before_allocating():
 
 
 def test_caches_are_bounded():
-    # one cache holds every route's tables
+    # one cache holds every route's tables, and none longer than
+    # 2 * MAX_TERMS // CACHE_SIZE terms, so at most about 2 * MAX_TERMS
     assert bary._cache.cache_info().maxsize == bary.CACHE_SIZE
+    longest = 2 * MAX_TERMS // bary.CACHE_SIZE
+    bary._cache.cache_clear()
+    short = shift_subtract_table(-3, 10, longest - 64)
+    assert len(short) <= longest
+    assert shift_subtract_table(-3, 10, longest - 64) is short
+    long = shift_subtract_table(-3, 10, longest)
+    assert len(long) > longest
+    assert shift_subtract_table(-3, 10, longest) is not long
+    assert bary._cache.cache_info().currsize == 1
 
 
 def test_value_tables_index_both_sides_of_the_support():
@@ -266,34 +276,55 @@ def windows(draw, n):
     )
 
 
+def clamped_top(n, ks):
+    # bary.row reads one table over [0, min(n, max(ks))]
+    return min(n, max(ks, default=0))
+
+
+def sign_sided_top(n, ks):
+    # star_row and dstar_row read tables over [0, max |k|]
+    return max(map(abs, ks), default=0)
+
+
 # each digit-wise row function with the point function it must equal,
-# and its n (bary.row for n < 0 reads the route tables, tested above)
+# its n (bary.row for n < 0 reads the route tables, tested above), and
+# the last index of the table it reads, past MAX_TERMS a ValueError
 ROWS = [
-    pytest.param(bary.row, bary_binom, st.integers(0, 80), id="row"),
-    pytest.param(star_row, star_binom, st.integers(-80, -1), id="star_row"),
-    pytest.param(dstar_row, dstar_binom, st.integers(-80, -1), id="dstar_row"),
+    pytest.param(bary.row, bary_binom, st.integers(0, 80), clamped_top, id="row"),
+    pytest.param(star_row, star_binom, st.integers(-80, -1), sign_sided_top, id="star_row"),
+    pytest.param(dstar_row, dstar_binom, st.integers(-80, -1), sign_sided_top, id="dstar_row"),
 ]
 
 
-@pytest.mark.parametrize("row_fn, point, ns", ROWS)
+@pytest.mark.parametrize("row_fn, point, ns, top", ROWS)
 @settings(max_examples=300)
 @given(data=st.data(), b=st.integers(2, 7))
-def test_digit_wise_rows_equal_their_point_function(row_fn, point, ns, data, b):
+def test_digit_wise_rows_equal_their_point_function(row_fn, point, ns, top, data, b):
     n = data.draw(ns, label="n")
     ks = data.draw(windows(n), label="ks")
-    assert row_fn(n, b, ks) == [point(n, k, b) for k in ks]
+    if top(n, ks) >= MAX_TERMS:
+        with pytest.raises(ValueError):
+            row_fn(n, b, ks)
+    else:
+        assert row_fn(n, b, ks) == [point(n, k, b) for k in ks]
 
 
-def test_huge_and_sparse_rows_are_read_point_by_point(monkeypatch):
-    # the tables would be far longer than the row: none is built
+def test_huge_and_sparse_rows_are_refused_before_allocating(monkeypatch):
+    # each table would pass MAX_TERMS: refused before the digits of n or
+    # of the top index are read, so before any level is built
     def refused(*args):
-        raise AssertionError("a digit-wise table was built")
+        raise AssertionError("a digit-wise table was started")
 
-    monkeypatch.setattr(bary, "_digit_table", refused)
-    monkeypatch.setattr(altdefs, "_digit_table", refused)
-    monkeypatch.setattr(altdefs, "digit_sum_table", refused)
-    for n, b, ks in ((10**12, 2, [10**11]), (10**100, 3, [0, 5, 10**99, -1])):
-        assert bary.row(n, b, ks) == [bary_binom(n, k, b) for k in ks]
-    ks = [0, 5, 10**99, -(10**99), -1]
-    assert star_row(-(10**100), 3, ks) == [star_binom(-(10**100), k, 3) for k in ks]
-    assert dstar_row(-(10**100), 3, ks) == [dstar_binom(-(10**100), k, 3) for k in ks]
+    n, ks = -(10**100), [0, 5, 10**99, -(10**99), -1]
+    calls = ((bary.row, 10**12, [10**11], 2), (star_row, n, ks, 3), (dstar_row, n, ks, 3))
+    with monkeypatch.context() as patched:
+        patched.setattr(bary, "to_digits", refused)
+        patched.setattr(digits, "to_digits", refused)
+        for row_fn, m, row_ks, b in calls:
+            with pytest.raises(ValueError):
+                row_fn(m, b, row_ks)
+    # the point functions still answer each of those k
+    assert bary_binom(10**12, 10**11, 2) == digit_product_literal(10**12, 10**11, 2) == 0
+    for k in ks:
+        assert star_binom(n, k, 3) == digit_product_literal(n, k, 3)
+        assert dstar_binom(n, k, 3) == classic_binom(digits.digit_sum(n, 3), digits.digit_sum(k, 3))

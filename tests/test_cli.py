@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom import cli, identities, partitions
+from barybinom import altdefs, bary, cli, identities, partitions
 from barybinom.altdefs import dstar_binom, star_binom
 from barybinom.bary import Method, bary_binom
 from barybinom.cli import MAX_WITNESS_LINES, main
@@ -215,6 +215,21 @@ def test_verify_output_is_deterministic(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def test_sweeps_read_every_value_a_row_at_a_time(capsys, monkeypatch):
+    # the digit product is the point path behind bary_binom (n >= 0) and
+    # star_binom; no sweep reaches it
+    argv = ("verify", "--suite", "all", "--nmax", "6", "--kmax", "12")
+    unpatched = run(capsys, *argv)
+
+    def refused(*args):
+        raise AssertionError("a sweep read a value point by point")
+
+    monkeypatch.setattr(bary, "_digit_product", refused)
+    monkeypatch.setattr(altdefs, "_digit_product", refused)
+    assert run(capsys, *argv) == unpatched
+    assert unpatched[0] == 0
 
 
 def test_worker_fanout_matches_serial_output(capsys, monkeypatch):

@@ -3,16 +3,16 @@ import inspect
 import pytest
 from hypothesis import example, given, strategies as st
 
-from barybinom import bary, identities
+from barybinom import bary, digits, identities
 from barybinom.altdefs import star_binom
 from barybinom.bary import Method, bary_binom, shift_subtract_table
 from barybinom.classic import classic_binom
+from barybinom.digits import digit_sum_table
 from barybinom.identities import (
     SUITES,
     IdentityReport,
     SuiteSpec,
     Witness,
-    carry_free,
     check_chu_mixed,
     check_chu_negative,
     check_cross_oracle,
@@ -69,24 +69,25 @@ def carry_free_literal(n, m, b):
 
 
 def test_carry_free_examples():
-    assert carry_free(1, 2, 4)
-    assert not carry_free(3, 1, 4)
-    assert carry_free(5, 10, 4)
-    assert not carry_free(1, 1, 2)
-    assert carry_free(21, 42, 4)
+    # the chu sweeps' rule: n + m carries nowhere when S[n] + S[m] == S[n + m]
+    for n, m, free in ((1, 2, True), (3, 1, False), (5, 10, True), (21, 42, True)):
+        assert carry_free_literal(n, m, 4) is free
+    assert not carry_free_literal(1, 1, 2)
     for b in range(2, 8):
+        S = digit_sum_table(200, b)
         for n in range(1, 101):
             for m in range(1, 101):
-                assert carry_free(n, m, b) == carry_free_literal(n, m, b), (n, m, b)
+                assert (S[n] + S[m] == S[n + m]) == carry_free_literal(n, m, b), (n, m, b)
 
 
-def test_carry_free_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        carry_free(0, 3, 4)
-    with pytest.raises(ValueError):
-        carry_free(3, -1, 4)
-    with pytest.raises(ValueError):
-        carry_free(3, 1, 1)
+def test_aggregation_reads_its_digit_sums_from_one_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError("digit_sum was called")
+
+    assert not hasattr(identities, "digit_sum")
+    monkeypatch.setattr(digits, "digit_sum", refused)
+    r = check_digit_sum_aggregation(bases=(2, 3, 7), n_max=60)
+    assert r.passed and r.checked_count > 0
 
 
 def test_pascal_skips_exactly_the_splice_point():
@@ -293,7 +294,7 @@ def chu_negative_reference(bases, n_max, k_max):
     for b in bases:
         for n in range(1, n_max // 2 + 1):
             for m in range(n, n_max - n + 1):
-                if not carry_free(n, m, b):
+                if not carry_free_literal(n, m, b):
                     skipped += 1
                     continue
                 t_n = shift_subtract_table(-n, b, k_max)
@@ -327,7 +328,7 @@ def chu_mixed_reference(bases, n_max, k_max):
         for n in range(2, n_max + 1):
             d_n = [bary_binom(n, i, b) for i in range(n + 1)]
             for m in range(1, n):
-                if not carry_free(m, n - m, b):
+                if not carry_free_literal(m, n - m, b):
                     skipped += 1
                     continue
                 t_m = shift_subtract_table(-m, b, n)
