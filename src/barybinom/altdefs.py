@@ -11,8 +11,10 @@ only, which is the only regime where they differ.
 
 star_row and dstar_row give either coefficient for a whole list of k,
 built one digit level at a time (bary._digit_table and
-digits.digit_sum_table) over [0, max |k|]; a table past MAX_TERMS
-raises ValueError before allocating, as in bary.row.
+digits.digit_sum_table) over [0, max |k|]; star_row stops at
+b^L - 1, L the digit count of |n|, past which every star value is 0.
+A table past MAX_TERMS raises ValueError before allocating, as in
+bary.row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 from .bary import _digit_product, _digit_table
 from .classic import classic_binom
-from .digits import digit_sum, digit_sum_table
+from .digits import digit_sum, digit_sum_table, to_digits
 
 
 def star_binom(n: int, k: int, b: int) -> int:
@@ -47,11 +49,16 @@ def dstar_binom(n: int, k: int, b: int) -> int:
 
 def star_row(n: int, b: int, ks: Sequence[int]) -> list[int]:
     """star_binom(n, k, b) for every k in ks, in order: one digit table
-    for k >= 0 and one over the negated digits for k < 0."""
+    for k >= 0 and one over the negated digits for k < 0, each over
+    [0, min(max |k|, b^L - 1)], L the digit count of |n|.  Past b^L - 1
+    a nonzero digit of k meets a zero digit of n, so every value is 0.
+    """
     _check_args(n, b)
+    top = b ** len(to_digits(n, b)) - 1
     hi, lo = max(ks, default=0), min(ks, default=0)
-    pos, neg = _digit_table(n, b, max(hi, 0)), _digit_table(n, b, max(-lo, 0), -1)
-    return [pos[k] if k >= 0 else neg[-k] for k in ks]
+    pos = _digit_table(n, b, min(max(hi, 0), top))
+    neg = _digit_table(n, b, min(max(-lo, 0), top), -1)
+    return [0 if abs(k) > top else pos[k] if k >= 0 else neg[-k] for k in ks]
 
 
 def dstar_row(n: int, b: int, ks: Sequence[int]) -> list[int]:

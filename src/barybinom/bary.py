@@ -2,12 +2,14 @@
 
 Auto dispatch uses the digit product for n >= 0 and, for n < 0, the
 shift-subtract kernel: one table of [x^r] 1/f_{|n|}(x), built in
-O(r * S_b(|n|)) steps, that serves both expansion points.  Two
-independent algorithms stay as oracles for the negative-n case:
-coefficient extraction from the truncated generating-function expansion
-at zero (series route) and the restricted-partition sum over closed-form
-classic binomials (partition route).  They share nothing past the digit
-expansion, which is what makes the cross-oracle sweeps meaningful.
+O(r * S_b(|n|)) steps, that serves both expansion points.  Its builder
+is series._shift_subtract, which gf_expand also reads for n < 0; this
+module caches and checks its tables.  Two independent algorithms stay
+as oracles for the negative-n case: generic series inversion of the
+generating product f_{|n|} expanded at zero (series route) and the
+restricted-partition sum over closed-form classic binomials (partition
+route).  They share nothing past the digit expansion, which is what
+makes the cross-oracle sweeps meaningful.
 f_{|n|} is palindromic, so each route builds one table per (n, b), and
 row reads values off it: entry r = k for k >= 0, r = n - k for k <= n.
 
@@ -28,9 +30,10 @@ from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
+from . import series
 from .classic import classic_binom
 from .digits import MAX_TERMS, to_digits
-from .series import ExpansionPoint, gf_expand
+from .series import ExpansionPoint, gf_expand, series_inverse
 
 # tables in the one cache: sweeps and row scans reuse a table in runs
 # per (n, b), not across the whole process
@@ -139,23 +142,8 @@ def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
         raise ValueError("shift-subtract tables are defined for n < 0 only")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    return _table(_shift_subtract, n, base, limit)
-
-
-def _shift_subtract(n: int, base: int, size: int) -> tuple[int, ...]:
-    # Start from 1 and divide by (1 + x^step) once per unit of each digit
-    # of |n|: one ascending in-place pass c[r] -= c[r - step] per division.
-    # A factor with step >= size leaves every kept entry unchanged.
-    c = [0] * size
-    c[0] = 1
-    m, step = -n, 1
-    while m and step < size:
-        m, d = divmod(m, base)
-        for _ in range(d):
-            for r in range(step, size):
-                c[r] -= c[r - step]
-        step *= base
-    return tuple(c)
+    # looked up at call time: gf_expand reads the same builder
+    return _table(series._shift_subtract, n, base, limit)
 
 
 def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
@@ -198,15 +186,20 @@ def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
 
 
 def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:
-    """Coefficients [x^r] f_{n,base}(x) at zero for 0 <= r <= limit,
-    by gf_expand: entry r is binom(n, r)_base and, for n < 0, also
-    binom(n, n - r)_base.  The tuple covers at least limit + 1 entries.
+    """Coefficients [x^r] f_{n,base}(x) at zero for 0 <= r <= limit:
+    entry r is binom(n, r)_base and, for n < 0, also binom(n, n - r)_base.
+    The tuple covers at least limit + 1 entries.
+
+    This is the series oracle: gf_expand builds f_{|n|} by shift-add
+    passes, and for n < 0 series_inverse divides 1 by it, so it shares
+    nothing with the kernel or the partition sum past the digits.
     """
     return _table(_series, n, base, limit)
 
 
 def _series(n: int, base: int, size: int) -> tuple[int, ...]:
-    return gf_expand(n, base, ExpansionPoint.AT_ZERO, size).coeffs
+    f = gf_expand(abs(n), base, ExpansionPoint.AT_ZERO, size)
+    return (series_inverse(f) if n < 0 else f).coeffs
 
 
 # Each route's table [x^r] 1/f_|n| for n < 0 (AUTO reads the kernel); the

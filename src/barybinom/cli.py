@@ -6,7 +6,9 @@ counterexample, 2 usage error, 141 stdout was closed before all output
 was written (what a shell reports for SIGPIPE, e.g. under `| head`).
 Usage errors include a verify --base below 2 or --prime that is not
 prime, a verify --nmax or --kmax whose sweep rows would pass MAX_TERMS
-entries (n_max + 1 or 2 * k_max + 1; all three refused before any
+entries (n_max + 1 or 2 * k_max + 1), an aggregation --nmax whose
+rows would hold more than AGGREGATION_BUDGET = 10 * MAX_TERMS entries
+per base ((n_max + 1)(n_max + 2) / 2; all four refused before any
 suite runs), bounds under which a sweep checks no case, a verify
 option that no selected suite takes (--kmax for aggregation, --base
 for lucas, --prime for a base-swept suite; --suite all applies each
@@ -224,6 +226,14 @@ def cmd_verify(args) -> int:
                 f" past the limit of {identities.MAX_TERMS}"
             )
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
+    if "aggregation" in names and args.nmax is not None:
+        rows = max(args.nmax, 0) + 1
+        work = rows * (rows + 1) // 2
+        if work > identities.AGGREGATION_BUDGET:
+            raise ValueError(
+                f"--nmax {args.nmax} makes aggregation read {work} row entries per base,"
+                f" past the budget of {identities.AGGREGATION_BUDGET}"
+            )
     calls = [_kwargs(identities.SUITES[name], args) for name in names]
     for option, param in _PARAMS.items():
         if getattr(args, option) is not None and not any(param in kw for kw in calls):

@@ -370,6 +370,12 @@ def check_lucas(
     return t.report("lucas", f"p in {_fmt(primes)}, |n| <= {n_max}, |k| <= {k_max}")
 
 
+# aggregation reads a row of n + 1 entries for every n <= n_max, so
+# (n_max + 1)(n_max + 2) / 2 entries per base; verify refuses an --nmax
+# past this many (n_max 4470, about 3 s a base)
+AGGREGATION_BUDGET = 10 * MAX_TERMS
+
+
 def check_digit_sum_aggregation(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 200
 ) -> IdentityReport:

@@ -12,6 +12,12 @@ convolution kernel serves both points:
 exactly zero, every stored position is exact, and everything past the
 retained window is unknown.  Asking for an unknown coefficient is an
 error, never a silent zero.
+
+_shift_subtract is the one builder of [x^r] 1/f_|n|(x) for n < 0: the
+production kernel behind gf_expand and bary.shift_subtract_table.
+series_inverse is generic series division; of the coefficient routes
+only the series oracle (bary.series_table) runs it, inverting
+gf_expand(|n|).
 """
 
 from __future__ import annotations
@@ -129,14 +135,15 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     """Expand f(x) = prod over digit positions l of (1 + x^(b^l))^(n_l).
 
     n_l are the sign-consistent digits of n, so they all share n's sign.
-    The polynomial f_|n| is built by one shift-add pass
+    For n >= 0 the polynomial f_n is built by one shift-add pass
     c[r] += c[r - b^l] (every r at once, from the previous values) per
-    unit of each digit; a factor with b^l >= order leaves the retained
-    terms unchanged.  At infinity
-    f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l| with u = 1/x, so the same
-    coefficients are stored from lead -|n|.  For n < 0 the product is
-    inverted once at the end, so its expansion at infinity starts at
-    x^-|n| with coefficient +1.
+    unit of each digit.  For n < 0 the kernel _shift_subtract divides 1
+    by each factor instead, one in-place pass c[r] -= c[r - b^l] per
+    unit, in O(order * S_b(|n|)) steps.  A factor with b^l >= order
+    leaves the retained terms unchanged.  At infinity
+    f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l| with u = 1/x, and f_|n| is
+    palindromic, so the same coefficients are stored from lead -n: -|n|
+    for n >= 0, and |n| (coefficient +1 at x^-|n|) for n < 0.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
@@ -144,18 +151,35 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_TERMS:
         raise ValueError(f"order {order} exceeds the limit of {MAX_TERMS} terms")
+    lead = 0 if point is ExpansionPoint.AT_ZERO else -n
+    if n < 0:
+        return LaurentSeries(point, lead, _shift_subtract(n, b, order))
     c = [0] * order
     c[0] = 1
     step = 1
     for d in to_digits(n, b):
         if step >= order:
             break
-        for _ in range(abs(d)):
+        for _ in range(d):
             c[step:] = map(add, c[step:], c)
         step *= b
-    lead = 0 if point is ExpansionPoint.AT_ZERO else -abs(n)
-    f = LaurentSeries(point, lead, tuple(c))
-    return series_inverse(f) if n < 0 else f
+    return LaurentSeries(point, lead, tuple(c))
+
+
+def _shift_subtract(n: int, base: int, size: int) -> tuple[int, ...]:
+    # Start from 1 and divide by (1 + x^step) once per unit of each digit
+    # of |n|: one ascending in-place pass c[r] -= c[r - step] per division.
+    # A factor with step >= size leaves every kept entry unchanged.
+    c = [0] * size
+    c[0] = 1
+    m, step = -n, 1
+    while m and step < size:
+        m, d = divmod(m, base)
+        for _ in range(d):
+            for r in range(step, size):
+                c[r] -= c[r - step]
+        step *= base
+    return tuple(c)
 
 
 def coefficient(s: LaurentSeries, e: int) -> int:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom import bary, digits
+from barybinom import altdefs, bary, digits
 from barybinom.altdefs import dstar_binom, dstar_row, star_binom, star_row
 from barybinom.bary import (
     Method,
@@ -276,14 +276,19 @@ def windows(draw, n):
     )
 
 
-def clamped_top(n, ks):
+def clamped_top(n, b, ks):
     # bary.row reads one table over [0, min(n, max(ks))]
     return min(n, max(ks, default=0))
 
 
-def sign_sided_top(n, ks):
-    # star_row and dstar_row read tables over [0, max |k|]
+def sign_sided_top(n, b, ks):
+    # dstar_row reads a table over [0, max |k|]
     return max(map(abs, ks), default=0)
+
+
+def star_top(n, b, ks):
+    # star_row stops at b^L - 1, L the digit count of |n|
+    return min(sign_sided_top(n, b, ks), b ** len(to_digits(n, b)) - 1)
 
 
 # each digit-wise row function with the point function it must equal,
@@ -291,7 +296,7 @@ def sign_sided_top(n, ks):
 # the last index of the table it reads, past MAX_TERMS a ValueError
 ROWS = [
     pytest.param(bary.row, bary_binom, st.integers(0, 80), clamped_top, id="row"),
-    pytest.param(star_row, star_binom, st.integers(-80, -1), sign_sided_top, id="star_row"),
+    pytest.param(star_row, star_binom, st.integers(-80, -1), star_top, id="star_row"),
     pytest.param(dstar_row, dstar_binom, st.integers(-80, -1), sign_sided_top, id="dstar_row"),
 ]
 
@@ -302,16 +307,36 @@ ROWS = [
 def test_digit_wise_rows_equal_their_point_function(row_fn, point, ns, top, data, b):
     n = data.draw(ns, label="n")
     ks = data.draw(windows(n), label="ks")
-    if top(n, ks) >= MAX_TERMS:
+    if top(n, b, ks) >= MAX_TERMS:
         with pytest.raises(ValueError):
             row_fn(n, b, ks)
     else:
         assert row_fn(n, b, ks) == [point(n, k, b) for k in ks]
 
 
+def test_star_rows_stop_where_the_digits_of_n_end(monkeypatch):
+    # past b^L - 1 every star value is 0, so a sparse row builds no more
+    tops = []
+
+    def recording(n, b, top, sign=1):
+        tops.append(top)
+        return real(n, b, top, sign)
+
+    real = altdefs._digit_table
+    monkeypatch.setattr(altdefs, "_digit_table", recording)
+    for n, b in ((-5, 2), (-1, 2), (-4, 4), (-80, 3), (-999, 10)):
+        cap = b ** len(to_digits(n, b)) - 1
+        ks = [0, 1, cap, cap + 1, 999_999, -cap, -cap - 1, -999_999, 10**30, -(10**30)]
+        tops.clear()
+        assert star_row(n, b, ks) == [star_binom(n, k, b) for k in ks], (n, b)
+        assert tops == [cap, cap], (n, b)
+    assert star_row(-5, 2, [0, 999_999]) == [1, 0]
+    assert tops[-2:] == [7, 0]
+
+
 def test_huge_and_sparse_rows_are_refused_before_allocating(monkeypatch):
-    # each table would pass MAX_TERMS: refused before the digits of n or
-    # of the top index are read, so before any level is built
+    # each table would pass MAX_TERMS: refused before _digit_table or
+    # digit_sum_table reads a digit, so before any level is built
     def refused(*args):
         raise AssertionError("a digit-wise table was started")
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import subprocess
@@ -159,6 +160,31 @@ def test_verify_bounds_past_the_row_limit_exit_two_before_any_suite(capsys, monk
     code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--base", "3", "--nmax", "19", "--kmax", "9")
     assert code == 0 and out.splitlines()[1].endswith("PASS")
     assert calls == [(19, 9)]
+
+
+def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, monkeypatch):
+    # aggregation reads (n_max + 1)(n_max + 2) / 2 row entries per base;
+    # the budget is patched small so no huge sweep ever runs here
+    monkeypatch.setattr(identities, "AGGREGATION_BUDGET", 21)
+    calls = []
+    for name, spec in list(identities.SUITES.items()):
+
+        @functools.wraps(spec.func)
+        def recording(*args, _name=name, _real=spec.func, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setitem(identities.SUITES, name, SuiteSpec(recording))
+    for suite in ("aggregation", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--nmax", "6")
+        assert (code, out) == (2, ""), suite
+        assert err == "error: --nmax 6 makes aggregation read 28 row entries per base, past the budget of 21\n"
+    assert calls == []
+    code, out, _ = run(capsys, "verify", "--suite", "aggregation", "--base", "7", "--nmax", "5")
+    assert code == 0 and out.splitlines()[1].endswith("PASS")
+    code, _, _ = run(capsys, "verify", "--suite", "symmetry", "--base", "3", "--nmax", "6", "--kmax", "6")
+    assert code == 0
+    assert calls == ["aggregation", "symmetry"]
 
 
 def test_table_reproduces_first_rows(capsys, table1):

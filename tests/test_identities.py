@@ -3,9 +3,15 @@ import inspect
 import pytest
 from hypothesis import example, given, strategies as st
 
-from barybinom import bary, digits, identities
+from barybinom import bary, digits, identities, series
 from barybinom.altdefs import star_binom
-from barybinom.bary import Method, bary_binom, shift_subtract_table
+from barybinom.bary import (
+    Method,
+    bary_binom,
+    partition_value_table,
+    series_table,
+    shift_subtract_table,
+)
 from barybinom.classic import classic_binom
 from barybinom.digits import digit_sum_table
 from barybinom.identities import (
@@ -27,6 +33,7 @@ from barybinom.identities import (
     pascal_defect_matrix,
     table1_matrix,
 )
+from barybinom.series import ExpansionPoint, gf_expand
 
 SMALL_SWEEPS = [
     pytest.param(lambda: check_symmetry(bases=(2, 3), n_max=12, k_max=24), id="symmetry"),
@@ -494,6 +501,30 @@ def test_chu_witnesses_under_one_wrong_table_entry_stay_frozen(monkeypatch, faul
     for sweep, want in zip((check_chu_negative, check_chu_mixed), CHU_FAULT_WITNESSES[fault]):
         report = sweep(bases=(3,), n_max=14, k_max=28)
         assert [(w.inputs, w.lhs, w.rhs) for w in report.failures] == want, sweep.__name__
+
+
+def test_the_series_oracle_does_not_read_the_kernel(monkeypatch):
+    # one wrong entry in the kernel's builder reaches gf_expand and AUTO,
+    # which symmetry compares with the partition sum; the series oracle
+    # inverts f_7 itself, so series_table and cross-oracle stay right
+    real = series._shift_subtract
+
+    def faulty(n, b, size):
+        values = real(n, b, size)
+        if (n, b) == (-7, 3):
+            values = values[:5] + (values[5] + 1,) + values[6:]
+        return values
+
+    want = partition_value_table(-7, 3, 63)
+    bary._cache.cache_clear()
+    monkeypatch.setattr(series, "_shift_subtract", faulty)
+    try:
+        assert gf_expand(-7, 3, ExpansionPoint.AT_ZERO, 16).coeffs[5] == want[5] + 1
+        assert not check_symmetry(bases=(3,), n_max=12, k_max=24).passed
+        assert series_table(-7, 3, 20)[:21] == want[:21]
+        assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
+    finally:
+        bary._cache.cache_clear()
 
 
 def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypatch):

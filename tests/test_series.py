@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,11 +116,21 @@ def test_inverse_requires_unit_lead():
 
 
 def test_inverse_undoes_the_generating_product():
-    for n in (1, 3, 6, 11):
-        f = gf_expand(n, 4, ZERO, 16)
-        g = gf_expand(-n, 4, ZERO, 16)
-        assert g == series_inverse(f)
-        assert series_mul(f, g) == one(ZERO, 16)
+    # gf_expand reads the shift-subtract kernel for n < 0; generic
+    # inversion of f_|n| must give the same expansion at both points,
+    # with lead |n| at infinity
+    rng = random.Random(17)
+    cases = [(n, 4, order) for n in (-1, -3, -6, -11) for order in (1, 16)]
+    for b in range(2, 8):
+        ns = [-1, -(b**4 - 1), -300] + rng.sample(range(-299, -1), 5)
+        cases += [(n, b, order) for n in ns for order in (1, 63, 64, 65, 1000)]
+    cases += [(-(10**100) + 1, b, 50) for b in (2, 3, 10)]
+    for n, b, order in cases:
+        f = gf_expand(-n, b, ZERO, order)
+        inv = series_inverse(f)
+        assert gf_expand(n, b, ZERO, order) == inv, (n, b, order)
+        assert gf_expand(n, b, INF, order) == LaurentSeries(INF, -n, inv.coeffs), (n, b, order)
+        assert series_mul(f, inv) == one(ZERO, order)
 
 
 def test_gf_expand_validates_arguments():
