@@ -6,32 +6,28 @@ counterexample, 2 usage error, 141 stdout was closed before all output
 was written (what a shell reports for SIGPIPE, e.g. under `| head`).
 Usage errors include a verify --base below 2 or --prime that is not
 prime, a verify --nmax or --kmax whose sweep rows would pass MAX_TERMS
-entries (n_max + 1 or 2 * k_max + 1), an aggregation --nmax whose
-rows would hold more than AGGREGATION_BUDGET = 10 * MAX_TERMS entries
-per base ((n_max + 1)(n_max + 2) / 2; all four refused before any
-suite runs), bounds under which a sweep checks no case, a verify
-option that no selected suite takes (--kmax for aggregation, --base
-for lucas, --prime for a base-swept suite; --suite all applies each
-option to the suites that take it), binom
---method with a --variant other than std, table --kind table1 with
---base, --variant, --nmax or --kmax, a pascal-defect table with --nmax
-or --kmax below 1, and a request past the size limit: a binom value
-for n < 0 whose table or expansion would need more than MAX_TERMS =
-10**6 terms, an expand order above it, a partitions --len above it
-(even when no tuple matches) or output of more than MAX_TERMS integers
+entries (n_max + 1 or 2 * k_max + 1) or whose work per base would pass
+WORK_BUDGET = 10 * MAX_TERMS (identities.WORK: aggregation, chu-neg
+and chu-mixed, a bound not given being the check's default; all
+refused before any suite runs), bounds under which a sweep checks no
+case, a verify option that no selected suite takes (--kmax for
+aggregation, --base for lucas, --prime for a base-swept suite; --suite
+all applies each option to the suites that take it), binom --method
+with a --variant other than std, table --kind table1 with --base,
+--variant, --nmax or --kmax, a pascal-defect table with --nmax or
+--kmax below 1, and a request past the size limit: a binom value for
+n < 0 whose table or expansion would need more than MAX_TERMS = 10**6
+terms, an expand order above it, a partitions --len above it (even
+when no tuple matches) or output of more than MAX_TERMS integers
 (tuples times length), or a pascal-defect table of more than MAX_TERMS
 entries (--nmax times --kmax).  Data goes to stdout, diagnostics to
 stderr.
 Everything is exact integer arithmetic serialized as decimal strings;
 identical invocations produce byte-identical output.  verify calls
-each selected suite's check once.
-The environment variable BARYBINOM_WORKERS (default 1) fans the
-selected suites out across processes, one suite per task, with the
-pool clamped to the number of suites, so a one-suite run is one
-process; reports keep registry order, so the output does not depend on
-scheduling.  The tables behind the coefficients share one lru_cache of
-32 entries that keeps no table longer than 2 * MAX_TERMS // 32 terms,
-and classic_binom has one of 2**12 entries.
+each selected suite's check once, in registry order, in one process.
+The tables behind the coefficients share one lru_cache of 32 entries
+that keeps no table longer than 2 * MAX_TERMS // 32 terms, and
+classic_binom has one of 2**12 entries.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import inspect
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
 from . import identities, partitions
@@ -226,30 +221,23 @@ def cmd_verify(args) -> int:
                 f" past the limit of {identities.MAX_TERMS}"
             )
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
-    if "aggregation" in names and args.nmax is not None:
-        rows = max(args.nmax, 0) + 1
-        work = rows * (rows + 1) // 2
-        if work > identities.AGGREGATION_BUDGET:
-            raise ValueError(
-                f"--nmax {args.nmax} makes aggregation read {work} row entries per base,"
-                f" past the budget of {identities.AGGREGATION_BUDGET}"
-            )
     calls = [_kwargs(identities.SUITES[name], args) for name in names]
+    for name, kw in zip(names, calls):
+        if name in identities.WORK:
+            what, work = identities.WORK[name]
+            # a bound not given is the check's default
+            params = inspect.signature(identities.SUITES[name].func).parameters
+            bound = {p: kw.get(p, params[p].default) for p in inspect.signature(work).parameters}
+            if (count := work(**bound)) > identities.WORK_BUDGET:
+                given = " ".join(f"--{p.replace('_', '')} {v}" for p, v in bound.items())
+                raise ValueError(
+                    f"{given} makes {name} {what.format(count)} per base,"
+                    f" past the budget of {identities.WORK_BUDGET}"
+                )
     for option, param in _PARAMS.items():
         if getattr(args, option) is not None and not any(param in kw for kw in calls):
             raise ValueError(f"--{option} is not taken by suite {args.suite}")
-    raw = os.environ.get("BARYBINOM_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"BARYBINOM_WORKERS must be an integer, got {raw!r}") from None
-    workers = min(workers, len(names))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_suite, names, calls))
-    else:
-        reports = list(map(_run_suite, names, calls))
-    results = list(zip(names, reports))
+    results = [(name, identities.SUITES[name].func(**kw)) for name, kw in zip(names, calls)]
     for name, report in results:
         if not report.checked_count:
             # a sweep that checked nothing cannot vouch for the identity
@@ -285,10 +273,6 @@ def _kwargs(spec, args) -> dict:
         if value is not None and param in params:
             kwargs[param] = (value,) if param in ("bases", "primes") else value
     return kwargs
-
-
-def _run_suite(name: str, kwargs: dict) -> IdentityReport:
-    return identities.SUITES[name].func(**kwargs)
 
 
 def _is_prime(p: int) -> bool:

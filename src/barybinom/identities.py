@@ -370,12 +370,6 @@ def check_lucas(
     return t.report("lucas", f"p in {_fmt(primes)}, |n| <= {n_max}, |k| <= {k_max}")
 
 
-# aggregation reads a row of n + 1 entries for every n <= n_max, so
-# (n_max + 1)(n_max + 2) / 2 entries per base; verify refuses an --nmax
-# past this many (n_max 4470, about 3 s a base)
-AGGREGATION_BUDGET = 10 * MAX_TERMS
-
-
 def check_digit_sum_aggregation(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 200
 ) -> IdentityReport:
@@ -500,3 +494,24 @@ SUITES: dict[str, SuiteSpec] = {
     "dstar-pascal": SuiteSpec(check_dstar_pascal),
     "cross-oracle": SuiteSpec(check_cross_oracle),
 }
+
+
+# the work per base of each suite whose bounds cost more than its rows:
+# what it would do and a closed form in the check's bounds that counts
+# it.  aggregation reads n + 1 row entries for each n <= n_max; chu-neg
+# and chu-mixed multiply about n_max**2 / share packed pairs of top + 1
+# slots and build n_max partition tables in about (k_max + 1)**2 steps
+# each.  verify refuses bounds past WORK_BUDGET before any suite runs.
+WORK_BUDGET = 10 * MAX_TERMS
+WORK: dict[str, tuple[str, Callable[..., int]]] = {
+    "aggregation": ("read {} row entries", lambda n_max: comb(max(n_max, 0) + 2, 2)),
+    "chu-neg": ("take {} steps", lambda n_max, k_max: _chu_steps(n_max, k_max, 4, k_max)),
+    "chu-mixed": (
+        "take {} steps", lambda n_max, k_max: _chu_steps(n_max, k_max, 2, max(n_max, k_max))
+    ),
+}
+
+
+def _chu_steps(n_max: int, k_max: int, share: int, top: int) -> int:
+    n, size = max(n_max, 0), max(k_max + 1, 0)
+    return n * n * max(top + 1, 0) // share + n * size * size

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import io
 import json
 import subprocess
@@ -8,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom import altdefs, bary, cli, identities, partitions
+from barybinom import altdefs, bary, identities, partitions
 from barybinom.altdefs import dstar_binom, star_binom
 from barybinom.bary import Method, bary_binom
 from barybinom.cli import MAX_WITNESS_LINES, main
@@ -163,9 +164,10 @@ def test_verify_bounds_past_the_row_limit_exit_two_before_any_suite(capsys, monk
 
 
 def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, monkeypatch):
-    # aggregation reads (n_max + 1)(n_max + 2) / 2 row entries per base;
-    # the budget is patched small so no huge sweep ever runs here
-    monkeypatch.setattr(identities, "AGGREGATION_BUDGET", 21)
+    # aggregation, chu-neg and chu-mixed refuse bounds whose work per base
+    # passes the budget, with the bounds not given read off the check's
+    # defaults; the budget is patched small so no huge sweep ever runs here
+    monkeypatch.setattr(identities, "WORK_BUDGET", 250)
     calls = []
     for name, spec in list(identities.SUITES.items()):
 
@@ -175,16 +177,35 @@ def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, m
             return _real(*args, **kwargs)
 
         monkeypatch.setitem(identities.SUITES, name, SuiteSpec(recording))
-    for suite in ("aggregation", "all"):
-        code, out, err = run(capsys, "verify", "--suite", suite, "--nmax", "6")
-        assert (code, out) == (2, ""), suite
-        assert err == "error: --nmax 6 makes aggregation read 28 row entries per base, past the budget of 21\n"
+    for suite, bounds, refused in (
+        ("aggregation", ("--nmax", "21"), "--nmax 21 makes aggregation read 253 row entries"),
+        ("all", ("--nmax", "21"), "--nmax 21 --kmax 120 makes chu-neg take 320801 steps"),
+        ("chu-neg", ("--nmax", "6", "--kmax", "5"), "--nmax 6 --kmax 5 makes chu-neg take 270 steps"),
+        ("chu-neg", ("--kmax", "3"), "--nmax 60 --kmax 3 makes chu-neg take 4560 steps"),
+        ("chu-mixed", ("--nmax", "6", "--kmax", "4"), "--nmax 6 --kmax 4 makes chu-mixed take 276 steps"),
+        ("chu-mixed", ("--kmax", "3"), "--nmax 60 --kmax 3 makes chu-mixed take 110760 steps"),
+    ):
+        code, out, err = run(capsys, "verify", "--suite", suite, *bounds)
+        assert (code, out) == (2, ""), (suite, bounds)
+        assert err == f"error: {refused} per base, past the budget of 250\n", (suite, bounds)
     assert calls == []
-    code, out, _ = run(capsys, "verify", "--suite", "aggregation", "--base", "7", "--nmax", "5")
-    assert code == 0 and out.splitlines()[1].endswith("PASS")
-    code, _, _ = run(capsys, "verify", "--suite", "symmetry", "--base", "3", "--nmax", "6", "--kmax", "6")
+    for suite, bounds in (
+        ("aggregation", ("--nmax", "20")),
+        ("chu-neg", ("--nmax", "6", "--kmax", "4")),
+        ("chu-mixed", ("--nmax", "6", "--kmax", "3")),
+    ):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--base", "3", *bounds)
+        assert code == 0 and out.splitlines()[1].endswith("PASS"), suite
+    code, _, _ = run(capsys, "verify", "--suite", "symmetry", "--base", "3", "--nmax", "60", "--kmax", "6")
     assert code == 0
-    assert calls == ["aggregation", "symmetry"]
+    assert calls == ["aggregation", "chu-neg", "chu-mixed", "symmetry"]
+
+
+def test_registry_defaults_fit_the_work_budget():
+    for name, (_, work) in identities.WORK.items():
+        defaults = inspect.signature(identities.SUITES[name].func).parameters
+        bounds = {p: defaults[p].default for p in inspect.signature(work).parameters}
+        assert work(**bounds) <= identities.WORK_BUDGET, name
 
 
 def test_table_reproduces_first_rows(capsys, table1):
@@ -256,24 +277,6 @@ def test_sweeps_read_every_value_a_row_at_a_time(capsys, monkeypatch):
     monkeypatch.setattr(altdefs, "_digit_product", refused)
     assert run(capsys, *argv) == unpatched
     assert unpatched[0] == 0
-
-
-def test_worker_fanout_matches_serial_output(capsys, monkeypatch):
-    argv = ("verify", "--suite", "all", "--nmax", "6", "--kmax", "12")
-    serial = run(capsys, *argv)
-    monkeypatch.setenv("BARYBINOM_WORKERS", "3")
-    fanned = run(capsys, *argv)
-    assert serial == fanned
-    assert serial[0] == 0
-
-
-def test_malformed_worker_count_is_a_usage_error_naming_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("BARYBINOM_WORKERS", "abc")
-    code, out, err = run(
-        capsys, "verify", "--suite", "lucas", "--prime", "3", "--nmax", "2", "--kmax", "2"
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: BARYBINOM_WORKERS must be an integer, got 'abc'\n"
 
 
 def test_verify_reports_failures_with_witnesses(capsys, monkeypatch):
@@ -380,41 +383,6 @@ def test_table_pascal_defect_bounds_below_one_exit_two(capsys):
         assert err == f"error: n_max and k_max must be at least 1, got {got}\n"
 
 
-def test_worker_pool_is_clamped_to_the_number_of_suites(capsys, monkeypatch):
-    # a stand-in executor records the pool size and runs suites in order,
-    # so no process is started
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("BARYBINOM_WORKERS", "64")
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "3", "--kmax", "3")
-    assert code == 0
-    assert len(out.splitlines()) == len(identities.SUITES) + 1
-    assert sizes == [len(identities.SUITES)]
-    # a one-suite run is one process
-    code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--nmax", "3", "--kmax", "3")
-    assert code == 0
-    assert sizes == [len(identities.SUITES)]
-    # an empty sweep is still a usage error when the suites ran in the pool
-    code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "-1")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    assert sizes == [len(identities.SUITES)] * 2
-
-
 def test_unknown_suite_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "no-such-suite"])
@@ -430,6 +398,13 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-4\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # verify runs its suites in one process
+    code = "import sys, barybinom.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_closed_stdout_exits_141_without_a_traceback():
