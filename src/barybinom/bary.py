@@ -71,7 +71,9 @@ def bary_binom(n: int, k: int, base: int, method: Method = Method.AUTO) -> int:
         return shift_subtract_table(n, base, r)[r] if r >= 0 else 0
     if method is Method.PARTITION:
         return bary_binom_partition(n, k, base)
-    return bary_binom_series(n, k, base)
+    if method is Method.SERIES:
+        return bary_binom_series(n, k, base)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _digit_product(n: int, k: int, b: int) -> int:
@@ -221,12 +223,14 @@ def row(n: int, base: int, ks: Sequence[int], method: Method = Method.AUTO) -> l
     n < k < 0.  When every k is in the band no table is built.  A table
     past MAX_TERMS raises ValueError before it is allocated.
     """
+    if (build := _TABLES.get(method)) is None:
+        raise ValueError(f"unknown method {method!r}")
     if n >= 0:
         top = min(n, max(ks, default=-1))
         table = _digit_table(n, base, max(top, 0))
         return [table[k] if 0 <= k <= top else 0 for k in ks]
     span = max(max(ks, default=-1), n - min(ks, default=0))
-    table = _TABLES[method](n, base, span) if span >= 0 else ()
+    table = build(n, base, span) if span >= 0 else ()
     return [table[k] if k >= 0 else table[n - k] if k <= n else 0 for k in ks]
 
 

@@ -6,22 +6,22 @@ counterexample, 2 usage error, 141 stdout was closed before all output
 was written (what a shell reports for SIGPIPE, e.g. under `| head`).
 Usage errors include a verify --base below 2 or --prime that is not
 prime, a verify --nmax or --kmax whose sweep rows would pass MAX_TERMS
-entries (n_max + 1 or 2 * k_max + 1) or whose work per base would pass
-WORK_BUDGET = 10 * MAX_TERMS (identities.WORK: aggregation, chu-neg
-and chu-mixed, a bound not given being the check's default; all
-refused before any suite runs), bounds under which a sweep checks no
-case, a verify option that no selected suite takes (--kmax for
-aggregation, --base for lucas, --prime for a base-swept suite; --suite
-all applies each option to the suites that take it), binom --method
-with a --variant other than std, table --kind table1 with --base,
---variant, --nmax or --kmax, a pascal-defect table with --nmax or
---kmax below 1, and a request past the size limit: a binom value for
-n < 0 whose table or expansion would need more than MAX_TERMS = 10**6
-terms, an expand order above it, a partitions --len above it (even
-when no tuple matches) or output of more than MAX_TERMS integers
-(tuples times length), or a pascal-defect table of more than MAX_TERMS
-entries (--nmax times --kmax).  Data goes to stdout, diagnostics to
-stderr.
+entries (n_max + 1 or 2 * k_max + 1) or whose work at a base or prime
+the run sweeps would pass WORK_BUDGET = 10 * MAX_TERMS steps (each
+suite's per-base work, identities.SUITES[name].work, a bound not given
+being the check's default; all refused before any suite runs), bounds
+under which a sweep checks no case, a verify option that no selected
+suite takes (--kmax for aggregation, --base for lucas, --prime for a
+base-swept suite; --suite all applies each option to the suites that
+take it), binom --method with a --variant other than std, table --kind
+table1 with --base, --variant, --nmax or --kmax, a pascal-defect table
+with --nmax or --kmax below 1, and a request past the size limit: a
+binom value for n < 0 whose table or expansion would need more than
+MAX_TERMS = 10**6 terms, an expand order above it, a partitions --len
+above it (even when no tuple matches) or output of more than MAX_TERMS
+integers (tuples times length), or a pascal-defect table of more than
+MAX_TERMS entries (--nmax times --kmax).  Data goes to stdout,
+diagnostics to stderr.
 Everything is exact integer arithmetic serialized as decimal strings;
 identical invocations produce byte-identical output.  verify calls
 each selected suite's check once, in registry order, in one process.
@@ -223,15 +223,13 @@ def cmd_verify(args) -> int:
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
     calls = [_kwargs(identities.SUITES[name], args) for name in names]
     for name, kw in zip(names, calls):
-        if name in identities.WORK:
-            what, work = identities.WORK[name]
-            # a bound not given is the check's default
-            params = inspect.signature(identities.SUITES[name].func).parameters
-            bound = {p: kw.get(p, params[p].default) for p in inspect.signature(work).parameters}
-            if (count := work(**bound)) > identities.WORK_BUDGET:
+        sweep, *bounds = kw  # bases or primes first, in the order of _PARAMS
+        bound = {p: kw[p] for p in bounds}
+        for value in kw[sweep]:
+            if (count := identities.SUITES[name].work(value, **bound)) > identities.WORK_BUDGET:
                 given = " ".join(f"--{p.replace('_', '')} {v}" for p, v in bound.items())
                 raise ValueError(
-                    f"{given} makes {name} {what.format(count)} per base,"
+                    f"{given} makes {name} take {count} steps at {sweep[:-1]} {value},"
                     f" past the budget of {identities.WORK_BUDGET}"
                 )
     for option, param in _PARAMS.items():
@@ -263,16 +261,15 @@ def cmd_verify(args) -> int:
 
 
 def _kwargs(spec, args) -> dict:
-    """The check's arguments for the verify options given that it takes:
-    --base v sweeps bases=(v,), --prime v primes=(v,), and --nmax and
-    --kmax set n_max and k_max."""
+    """The check's arguments: the verify option for each parameter if
+    given (--base v sweeps bases=(v,), --prime v primes=(v,), and --nmax
+    and --kmax set n_max and k_max), else the check's default."""
     params = inspect.signature(spec.func).parameters
-    kwargs = {}
-    for option, param in _PARAMS.items():
-        value = getattr(args, option)
-        if value is not None and param in params:
-            kwargs[param] = (value,) if param in ("bases", "primes") else value
-    return kwargs
+    given = {param: getattr(args, option) for option, param in _PARAMS.items() if param in params}
+    return {
+        p: params[p].default if v is None else (v,) if p in ("bases", "primes") else v
+        for p, v in given.items()
+    }
 
 
 def _is_prime(p: int) -> bool:

@@ -231,6 +231,17 @@ def test_dispatch_rejects_mismatched_methods():
         shift_subtract_table(-5, 1, 10)
 
 
+def test_unknown_methods_raise_value_error():
+    # only Method members name a route: a plain string, even a member's
+    # value, is refused rather than answered by the series route
+    for method in ("bogus", "partition", "series"):
+        for n in (-5, 5):
+            with pytest.raises(ValueError, match="unknown method"):
+                bary_binom(n, 3, 2, method)
+            with pytest.raises(ValueError, match="unknown method"):
+                bary.row(n, 2, [3], method)
+
+
 def test_method_values_are_the_cli_spellings():
     assert Method("auto") is Method.AUTO
     assert Method("series") is Method.SERIES

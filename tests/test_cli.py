@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import io
@@ -152,7 +153,8 @@ def test_verify_bounds_past_the_row_limit_exit_two_before_any_suite(capsys, monk
         calls.append((n_max, k_max))
         return real(bases, n_max, k_max)
 
-    monkeypatch.setitem(identities.SUITES, "symmetry", SuiteSpec(recording))
+    spec = dataclasses.replace(identities.SUITES["symmetry"], func=recording)
+    monkeypatch.setitem(identities.SUITES, "symmetry", spec)
     for option, refused in (("--kmax", "10"), ("--nmax", "20")):
         code, out, err = run(capsys, "verify", "--suite", "symmetry", "--base", "3", option, refused)
         assert (code, out) == (2, ""), option
@@ -164,10 +166,11 @@ def test_verify_bounds_past_the_row_limit_exit_two_before_any_suite(capsys, monk
 
 
 def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, monkeypatch):
-    # aggregation, chu-neg and chu-mixed refuse bounds whose work per base
-    # passes the budget, with the bounds not given read off the check's
+    # a suite refuses bounds whose work passes the budget at any base (or
+    # prime) it would sweep: the given one, else each of the check's
+    # default tuple, with the bounds not given read off the check's
     # defaults; the budget is patched small so no huge sweep ever runs here
-    monkeypatch.setattr(identities, "WORK_BUDGET", 250)
+    monkeypatch.setattr(identities, "WORK_BUDGET", 8000)
     calls = []
     for name, spec in list(identities.SUITES.items()):
 
@@ -176,36 +179,113 @@ def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, m
             calls.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setitem(identities.SUITES, name, SuiteSpec(recording))
-    for suite, bounds, refused in (
-        ("aggregation", ("--nmax", "21"), "--nmax 21 makes aggregation read 253 row entries"),
-        ("all", ("--nmax", "21"), "--nmax 21 --kmax 120 makes chu-neg take 320801 steps"),
-        ("chu-neg", ("--nmax", "6", "--kmax", "5"), "--nmax 6 --kmax 5 makes chu-neg take 270 steps"),
-        ("chu-neg", ("--kmax", "3"), "--nmax 60 --kmax 3 makes chu-neg take 4560 steps"),
-        ("chu-mixed", ("--nmax", "6", "--kmax", "4"), "--nmax 6 --kmax 4 makes chu-mixed take 276 steps"),
-        ("chu-mixed", ("--kmax", "3"), "--nmax 60 --kmax 3 makes chu-mixed take 110760 steps"),
+        monkeypatch.setitem(identities.SUITES, name, dataclasses.replace(spec, func=recording))
+    for suite, bounds, (name, axis, at, given) in (
+        # passes at bases 2 to 5 of the default tuple and not at 6
+        ("aggregation", ("--nmax", "46"), ("aggregation", "base", 6, {"n_max": 46})),
+        ("all", ("--nmax", "21"), ("symmetry", "base", 2, {"n_max": 21, "k_max": 120})),
+        ("chu-neg", ("--nmax", "6", "--kmax", "5"), ("chu-neg", "base", 2, {"n_max": 6, "k_max": 5})),
+        ("chu-neg", ("--kmax", "3"), ("chu-neg", "base", 2, {"n_max": 60, "k_max": 3})),
+        ("chu-mixed", ("--nmax", "6", "--kmax", "3"), ("chu-mixed", "base", 2, {"n_max": 6, "k_max": 3})),
+        ("chu-mixed", ("--kmax", "3"), ("chu-mixed", "base", 2, {"n_max": 60, "k_max": 3})),
+        ("lucas", ("--prime", "7", "--nmax", "30"), ("lucas", "prime", 7, {"n_max": 30, "k_max": 120})),
     ):
         code, out, err = run(capsys, "verify", "--suite", suite, *bounds)
-        assert (code, out) == (2, ""), (suite, bounds)
-        assert err == f"error: {refused} per base, past the budget of 250\n", (suite, bounds)
+        count = identities.SUITES[name].work(at, **given)
+        flags = " ".join(f"--{p.replace('_', '')} {v}" for p, v in given.items())
+        assert count > 8000 and (code, out) == (2, ""), (suite, bounds)
+        assert err == (
+            f"error: {flags} makes {name} take {count} steps at {axis} {at}, past the budget of 8000\n"
+        ), (suite, bounds)
     assert calls == []
     for suite, bounds in (
-        ("aggregation", ("--nmax", "20")),
-        ("chu-neg", ("--nmax", "6", "--kmax", "4")),
-        ("chu-mixed", ("--nmax", "6", "--kmax", "3")),
+        ("aggregation", ("--base", "3", "--nmax", "46")),
+        ("chu-neg", ("--base", "3", "--nmax", "6", "--kmax", "5")),
+        ("chu-mixed", ("--base", "4", "--nmax", "6", "--kmax", "3")),
+        ("symmetry", ("--base", "3", "--nmax", "3", "--kmax", "3")),
     ):
-        code, out, _ = run(capsys, "verify", "--suite", suite, "--base", "3", *bounds)
+        code, out, _ = run(capsys, "verify", "--suite", suite, *bounds)
         assert code == 0 and out.splitlines()[1].endswith("PASS"), suite
-    code, _, _ = run(capsys, "verify", "--suite", "symmetry", "--base", "3", "--nmax", "60", "--kmax", "6")
-    assert code == 0
     assert calls == ["aggregation", "chu-neg", "chu-mixed", "symmetry"]
 
 
 def test_registry_defaults_fit_the_work_budget():
-    for name, (_, work) in identities.WORK.items():
-        defaults = inspect.signature(identities.SUITES[name].func).parameters
-        bounds = {p: defaults[p].default for p in inspect.signature(work).parameters}
-        assert work(**bounds) <= identities.WORK_BUDGET, name
+    for name, spec in identities.SUITES.items():
+        params = inspect.signature(spec.func).parameters
+        sweep = "bases" if "bases" in params else "primes"
+        defaults = {p: params[p].default for p in params if p != sweep}
+        for value in params[sweep].default:
+            assert spec.work(value, **defaults) <= identities.WORK_BUDGET, (name, value)
+
+
+# bounds that pass the row limit and that no suite's work form lets
+# through: each sweep was still running after 15 s or more before the
+# forms counted the base and the size of the values; a bound not given
+# is the check's default
+REFUSED = [
+    ("symmetry --base 3 --nmax 8 --kmax 20000", "base", 3, {"n_max": 8, "k_max": 20000}),
+    ("cross-oracle --base 3 --nmax 8 --kmax 20000", "base", 3, {"n_max": 8, "k_max": 20000}),
+    *(
+        (f"{suite} --base 3 --nmax 100000 --kmax 100000", "base", 3, {"n_max": 100000, "k_max": 100000})
+        for suite in ("pascal", "pascal-power", "star-pascal", "dstar-pascal")
+    ),
+    ("prop33 --base 3 --nmax 100000", "base", 3, {"n_max": 100000, "k_max": 64}),
+    ("lucas --prime 3 --nmax 400000 --kmax 400000", "prime", 3, {"n_max": 400000, "k_max": 400000}),
+    ("chu-neg --base 1000 --nmax 199 --kmax 199", "base", 1000, {"n_max": 199, "k_max": 199}),
+    ("chu-mixed --base 1000 --nmax 187 --kmax 187", "base", 1000, {"n_max": 187, "k_max": 187}),
+    ("pascal --base 2000 --nmax 2000", "base", 2000, {"n_max": 2000, "k_max": 200}),
+]
+# bounds whose sweep takes a fraction of a second
+ACCEPTED = [
+    "pascal --base 2 --nmax 2000",
+    "symmetry --base 3 --nmax 200",
+    "cross-oracle --base 3 --nmax 200",
+    "lucas --prime 3 --nmax 200",
+    "star-pascal --base 2 --nmax 2000",
+    "dstar-pascal --base 2 --nmax 2000",
+    "prop33 --base 2 --nmax 512",
+]
+
+
+def _stand_in_suites(monkeypatch, check):
+    # every suite's check replaced by check(name), its work form kept
+    for name, spec in list(identities.SUITES.items()):
+        func = functools.wraps(spec.func)(check(name))
+        monkeypatch.setitem(identities.SUITES, name, dataclasses.replace(spec, func=func))
+
+
+def test_verify_refuses_work_past_the_budget_at_the_swept_base(capsys, monkeypatch):
+    def check(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"suite {name} ran")
+
+        return refused
+
+    _stand_in_suites(monkeypatch, check)
+    for argv, axis, at, given in REFUSED:
+        name = argv.split()[0]
+        code, out, err = run(capsys, "verify", "--suite", *argv.split())
+        count = identities.SUITES[name].work(at, **given)
+        flags = " ".join(f"--{p.replace('_', '')} {v}" for p, v in given.items())
+        assert (code, out) == (2, ""), argv
+        assert err == (
+            f"error: {flags} makes {name} take {count} steps at {axis} {at},"
+            f" past the budget of {identities.WORK_BUDGET}\n"
+        ), argv
+
+
+def test_verify_accepts_sweeps_of_a_fraction_of_a_second(capsys, monkeypatch):
+    def check(name):
+        def passing(*args, **kwargs):
+            return IdentityReport(name, "stand-in", 1)
+
+        return passing
+
+    _stand_in_suites(monkeypatch, check)
+    for argv in ACCEPTED:
+        code, out, err = run(capsys, "verify", "--suite", *argv.split())
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines()[1].endswith("\tPASS"), argv
 
 
 def test_table_reproduces_first_rows(capsys, table1):
@@ -285,8 +365,9 @@ def test_verify_reports_failures_with_witnesses(capsys, monkeypatch):
     def broken(bases=(2,), n_max=1, k_max=1):
         return IdentityReport("always-fail", f"b in {bases[0]}", 40, witnesses)
 
+    # a form that counts the stand-in's 40 cases
     monkeypatch.setitem(
-        identities.SUITES, "always-fail", SuiteSpec(broken)
+        identities.SUITES, "always-fail", SuiteSpec(broken, lambda b, n_max, k_max: 40)
     )
     code, out, err = run(capsys, "verify", "--suite", "always-fail")
     assert code == 1
