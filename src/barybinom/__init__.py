@@ -4,9 +4,10 @@ The coefficient binom(n, k)_b is the coefficient of x^k in the
 generating function f_{n,b}(x) = prod_l (1 + x^{b^l})^{n_l} built from
 the sign-consistent base-b digits of n (plain tuples, least significant
 first), read from the power series at zero for k >= 0 and from the
-Laurent expansion at infinity for k < 0.  A linear-time shift-subtract
-kernel for n < 0, two independent oracle routes (series extraction and
-restricted partition sums), the classic single-digit coefficient, two
+Laurent expansion at infinity for k < 0.  A digit-recursive
+shift-subtract kernel for n < 0, two independent oracle routes (series
+extraction and restricted partition sums), the classic single-digit
+coefficient, two
 alternative digit-wise generalizations, and an identity-verification
 harness (barybinom.identities).
 """

@@ -1,9 +1,10 @@
 """The b-ary binomial coefficient binom(n, k)_b for all integer n, k.
 
 Auto dispatch uses the digit product for n >= 0 and, for n < 0, the
-shift-subtract kernel: one table of [x^r] 1/f_{|n|}(x), built in
-O(r * S_b(|n|)) steps, that serves both expansion points.  Its builder
-is series._shift_subtract, which gf_expand also reads for n < 0; this
+shift-subtract kernel: one table of [x^r] 1/f_{|n|}(x) that serves both
+expansion points, built digit by digit in sum over l of
+(|n_l| + 1) * ceil(r / b^l) C-level steps.  Its builder is
+series._shift_subtract, which gf_expand also reads for n < 0; this
 module caches and checks its tables.  Two independent algorithms stay
 as oracles for the negative-n case: generic series inversion of the
 generating product f_{|n|} expanded at zero (series route) and the
@@ -107,15 +108,17 @@ def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
     Built one digit level at a time from the top down: entry b*i + d of
     a level is entry i of the level above times classic_binom(n_l,
     sign * d).  Above the digits of n only entry 0 is nonzero, because a
-    nonzero digit of j against a zero digit of n gives a factor 0.
+    nonzero digit of j against a zero digit of n gives a factor 0.  A
+    level computes at most top // b**l + 1 values of d.
     """
     if top >= MAX_TERMS:
         raise ValueError(f"a table of {top + 1} terms exceeds the limit of {MAX_TERMS}")
     digits = to_digits(n, b)
     t = [1] + [0] * (top // b ** len(digits))
     for l in reversed(range(len(digits))):
-        low = [classic_binom(digits[l], sign * d) for d in range(b)]
-        t = [h * c for h in t for c in low][: top // b**l + 1]
+        width = top // b**l + 1
+        low = [classic_binom(digits[l], sign * d) for d in range(min(b, width))]
+        t = [h * c for h in t for c in low][:width]
     return t
 
 

@@ -58,7 +58,8 @@ def digit_sum_table(top: int, b: int) -> list[int]:
     """[S_b(j) for j in range(top + 1)], for 0 <= top < MAX_TERMS.
 
     Built one digit level at a time from the top down: entry b*i + d of
-    a level is entry i of the level above plus d.
+    a level is entry i of the level above plus d.  A level builds at
+    most top // b**l + 1 entries, so a base past top costs nothing.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
@@ -66,6 +67,7 @@ def digit_sum_table(top: int, b: int) -> list[int]:
         raise ValueError(f"top must be in [0, {MAX_TERMS}), got {top}")
     t, step = [0], b ** (len(to_digits(top, b)) - 1)
     while step:
-        t = [h + d for h in t for d in range(b)][: top // step + 1]
+        width = top // step + 1
+        t = [h + d for h in t for d in range(min(b, width))][:width]
         step //= b
     return t

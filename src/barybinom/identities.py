@@ -214,6 +214,8 @@ def check_prop33(
     term belongs to the sum: the weight series is the expansion of
     prod_{l=m}^{s-1} (1+x^{b^l})^{b-1}, whose constant term is 1.
     k_max is the width of the swept window past each branch point.
+    Each (n, m) reads one row of -n + b^m over every k - j, so one
+    table serves all of its shifts.
     """
     t = _Tally()
     for b in bases:
@@ -223,12 +225,15 @@ def check_prop33(
             for m in range(s):
                 bm = b**m
                 ks = [*range(bs, bs + k_max + 1), *range(-n + bm - k_max, -n + bm + 1)]
+                # k - j for 0 <= j <= bs: the zero side's window reaches
+                # down to 0, the infinity side's down by bs
+                shifted = [*range(bs + k_max + 1), *range(-n + bm - k_max - bs, -n + bm + 1)]
+                at = dict(zip(shifted, row(-n + bm, b, shifted)))
                 rhs = [0] * len(ks)
                 js = range(0, bs + 1, bm)
                 for j, w in zip(js, row(bs - bm, b, js)):
                     if w:
-                        term = row(-n + bm, b, [k - j for k in ks])
-                        rhs = [r + w * v for r, v in zip(rhs, term)]
+                        rhs = [r + w * at[k - j] for r, k in zip(rhs, ks)]
                 t.compare((b, n, s, m), ks, row(-n + bs, b, ks), rhs)
     return t.report(
         "prop33",
@@ -482,8 +487,10 @@ def _fmt(values: Iterable[int]) -> str:
 # runs.  Work is counted in steps: one step is one pass of an
 # interpreted loop over one entry (about 0.1 us at Python 3.11 on two
 # vCPUs), and an entry of B bits counts as 1 + B // _WORD steps.  The
-# forms bound what grows with the base: a kernel table of -s takes
-# S_b(s) passes, and its entries, like every partition term and
+# forms bound what grows with the base: a kernel table of -s is counted
+# as S_b(s) interpreted passes, an upper bound since the kernel builds it
+# by digit recursion in (s_l + 1) C-level passes of ceil(size / b^l)
+# entries per digit s_l, and its entries, like every partition term and
 # classic_binom(-S, r), are at most C(S + r - 1, r) in magnitude, since
 # |[x^r] 1/f_s| <= [x^r] (1 - x)^-S_b(s); a digit table computes b
 # classic_binom values per digit level.  The constants were fitted to
@@ -619,10 +626,10 @@ def _work_pascal_power(b: int, n_max: int, k_max: int) -> int:
 def _work_prop33(b: int, n_max: int, k_max: int) -> int:
     # the n with exactly t trailing zero digits, grouped by t; per (n, m):
     # a digit table of the bs - bm weights, the left row's kernel table
-    # and at most bs // 128 + 2 of the right's (whose span moves with j),
-    # and three passes over the 2 k_max + 2 values for each of the
-    # bs / bm + 1 weights j, each a multiply-add by a weight below
-    # 2**((b - 1) t)
+    # and the right's (counted as bs // 128 + 2 tables, an upper bound
+    # since one row serves every shift j), and three passes over the
+    # 2 k_max + 2 values for each of the bs / bm + 1 weights j, each a
+    # multiply-add by a weight below 2**((b - 1) t)
     n, window = max(n_max, 0), max(2 * k_max + 2, 0)
     _, top = _digit_sums(n, b)
     work, t = 0, 1

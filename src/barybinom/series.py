@@ -14,7 +14,10 @@ retained window is unknown.  Asking for an unknown coefficient is an
 error, never a silent zero.
 
 _shift_subtract is the one builder of [x^r] 1/f_|n|(x) for n < 0: the
-production kernel behind gf_expand and bary.shift_subtract_table.
+production kernel behind gf_expand and bary.shift_subtract_table.  It
+splits the product by digits, 1/f_m(x) = (1 + x)^-m_0 * (1/f_{m div b})(x^b),
+so only the lowest digit's divisions run over the full length and each
+is one itertools.accumulate.
 series_inverse is generic series division; of the coefficient routes
 only the series oracle (bary.series_table) runs it, inverting
 gf_expand(|n|).
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from itertools import accumulate
+from operator import add, neg
 
 from .digits import MAX_TERMS, to_digits
 
@@ -137,13 +141,15 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     n_l are the sign-consistent digits of n, so they all share n's sign.
     For n >= 0 the polynomial f_n is built by one shift-add pass
     c[r] += c[r - b^l] (every r at once, from the previous values) per
-    unit of each digit.  For n < 0 the kernel _shift_subtract divides 1
-    by each factor instead, one in-place pass c[r] -= c[r - b^l] per
-    unit, in O(order * S_b(|n|)) steps.  A factor with b^l >= order
-    leaves the retained terms unchanged.  At infinity
-    f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l| with u = 1/x, and f_|n| is
-    palindromic, so the same coefficients are stored from lead -n: -|n|
-    for n >= 0, and |n| (coefficient +1 at x^-|n|) for n < 0.
+    unit of each digit.  For n < 0 the kernel _shift_subtract builds
+    1/f_|n| by digit recursion instead: the table of |n| div b at
+    ceil(order / b) terms, spread to every b-th entry and divided by
+    (1 + x) once per unit of the lowest digit, each division one running
+    sum, so digit l costs (|n_l| + 1) * ceil(order / b^l) C-level steps.
+    A factor with b^l >= order leaves the retained terms unchanged.  At
+    infinity f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l| with u = 1/x, and
+    f_|n| is palindromic, so the same coefficients are stored from lead
+    -n: -|n| for n >= 0, and |n| (coefficient +1 at x^-|n|) for n < 0.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
@@ -167,19 +173,28 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
 
 
 def _shift_subtract(n: int, base: int, size: int) -> tuple[int, ...]:
-    # Start from 1 and divide by (1 + x^step) once per unit of each digit
-    # of |n|: one ascending in-place pass c[r] -= c[r - step] per division.
-    # A factor with step >= size leaves every kept entry unchanged.
-    c = [0] * size
-    c[0] = 1
-    m, step = -n, 1
-    while m and step < size:
+    # 1/f_m(x) = (1 + x)^-d_0 * (1/f_{m div b})(x^b), m = |n|: the table
+    # of m div b at ceil(size / b) terms, spread to every b-th entry, then
+    # divided by (1 + x) d_0 times.  Tables are kept as e[r] = (-1)^r c[r],
+    # so each division c[r] -= c[r - 1] is a running sum of e.  Spreading
+    # keeps the sign at odd bases; at even ones every spread entry sits at
+    # an even r, so the small table's c is spread.  Levels whose step
+    # b^l >= size leave every kept entry unchanged.
+    m, levels = -n, []
+    while m and size > 1:
         m, d = divmod(m, base)
+        levels.append((d, size))
+        size = (size - 1) // base + 1
+    e = [1] + [0] * (size - 1)
+    for d, size in reversed(levels):
+        if base % 2 == 0:
+            e[1::2] = map(neg, e[1::2])
+        t, e = e, [0] * size
+        e[::base] = t
         for _ in range(d):
-            for r in range(step, size):
-                c[r] -= c[r - step]
-        step *= base
-    return tuple(c)
+            e = list(accumulate(e))
+    e[1::2] = map(neg, e[1::2])
+    return tuple(e)
 
 
 def coefficient(s: LaurentSeries, e: int) -> int:

@@ -345,6 +345,24 @@ def test_star_rows_stop_where_the_digits_of_n_end(monkeypatch):
     assert tops[-2:] == [7, 0]
 
 
+def test_digit_tables_compute_no_more_values_than_top_needs(monkeypatch):
+    # a level computes at most top // b**l + 1 values classic_binom(n_l, d):
+    # counted at base 10**6 before base 10**9 is run
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return classic_binom(n, k)
+
+    monkeypatch.setattr(bary, "classic_binom", counting)
+    for b in (10**6, 10**9):
+        calls.clear()
+        assert bary._digit_table(5, b, 3) == [1, 5, 10, 10]
+        assert bary._digit_table(-(b + 5), b, 3) == [1, -5, 15, -35]
+        assert len(calls) == 4 + 4 + 1, b
+    assert bary.row(2 * 10**9 + 3, 10**9, range(-1, 5)) == [0, 1, 3, 3, 1, 0]
+
+
 def test_huge_and_sparse_rows_are_refused_before_allocating(monkeypatch):
     # each table would pass MAX_TERMS: refused before _digit_table or
     # digit_sum_table reads a digit, so before any level is built

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +67,20 @@ def test_min_len_past_the_limit_rejected_before_padding(monkeypatch):
 @given(st.integers(0, 3000), st.integers(2, 16))
 def test_digit_sum_table_matches_digit_sum(top, b):
     assert digit_sum_table(top, b) == [digit_sum(j, b) for j in range(top + 1)]
+
+
+def test_digit_sum_table_builds_no_more_entries_than_top_needs():
+    # a level builds at most top // b**l + 1 entries: checked by memory at
+    # base 10**6 (b entries would be megabytes) before base 10**9 is run
+    tracemalloc.start()
+    try:
+        assert digit_sum_table(1, 10**6) == [0, 1]
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+    assert digit_sum_table(1, 10**9) == [0, 1]
+    assert digit_sum_table(12, 10**9) == list(range(13))
+    assert digit_sum_table(12, 10) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3]
 
 
 def test_digit_sum_table_refuses_bad_arguments(monkeypatch):

@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 
 import pytest
 from math import prod
@@ -111,6 +112,28 @@ def test_pascal_power_skips_one_point_per_power():
     r = check_pascal_power(bases=(2,), n_max=4, k_max=8)
     assert r.passed
     assert r.skipped_count == 3  # n = 1, 2, 4
+
+
+def test_prop33_builds_one_kernel_table_per_shifted_row(monkeypatch):
+    # the right side reads binom(-n + b^m, k - j) for every weight j; one
+    # row per (n, m) covers every shift, where a row per j once built
+    # (-999, 10) at nine sizes.  The report is the one those rows gave.
+    builds = Counter()
+    real = series._shift_subtract
+
+    def counting(n, b, size):
+        builds[n, b] += 1
+        return real(n, b, size)
+
+    monkeypatch.setattr(series, "_shift_subtract", counting)
+    report = check_prop33(bases=(10,), n_max=1000, k_max=64)
+    assert report.passed and (report.checked_count, report.skipped_count) == (14430, 0)
+    zeros = {n: next(i for i, d in enumerate(to_digits(n, 10)) if d) for n in range(10, 1001, 10)}
+    shifted = {-n + 10**m for n, s in zeros.items() for m in range(s)}
+    # a left row -n + b^s can coincide with another (n, m)'s shifted row
+    left = {-n + 10**s for n, s in zeros.items()}
+    assert builds[-999, 10] == 1
+    assert [key for key in shifted - left if builds[key, 10] != 1] == []
 
 
 def test_chu_negative_counts_carrying_pairs_as_skipped():

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from barybinom import series as series_module
 from barybinom.digits import to_digits
 from barybinom.series import (
     ExpansionPoint,
@@ -131,6 +132,41 @@ def test_inverse_undoes_the_generating_product():
         assert gf_expand(n, b, ZERO, order) == inv, (n, b, order)
         assert gf_expand(n, b, INF, order) == LaurentSeries(INF, -n, inv.coeffs), (n, b, order)
         assert series_mul(f, inv) == one(ZERO, order)
+
+
+def per_unit_shift_subtract(n, base, size):
+    """[x^r] 1/f_|n| for r < size, dividing 1 by (1 + x^step) once per
+    unit of each digit of |n|, each division one ascending in-place pass
+    c[r] -= c[r - step] over the whole table: the kernel's definition,
+    kept as a reference for its digit recursion."""
+    c = [0] * size
+    c[0] = 1
+    m, step = -n, 1
+    while m and step < size:
+        m, d = divmod(m, base)
+        for _ in range(d):
+            for r in range(step, size):
+                c[r] -= c[r - step]
+        step *= base
+    return tuple(c)
+
+
+def test_kernel_matches_the_per_unit_passes_on_a_grid():
+    # sizes around the base and around the 64-term buckets; |n| of one
+    # to many digits, a lone top digit (b^5), all digits b - 1 (b^5 - 1)
+    for b in range(2, 13):
+        ns = [*range(1, 201), b**5, b**5 - 1, 10**6 - 1, 10**9 + 7]
+        sizes = sorted({1, 2, b - 1, b, b + 1, 63, 64, 65, 500})
+        for m in ns:
+            for size in sizes:
+                want = per_unit_shift_subtract(-m, b, size)
+                assert series_module._shift_subtract(-m, b, size) == want, (m, b, size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**12), st.integers(2, 40), st.integers(1, 300))
+def test_kernel_matches_the_per_unit_passes(m, b, size):
+    assert series_module._shift_subtract(-m, b, size) == per_unit_shift_subtract(-m, b, size)
 
 
 def test_gf_expand_validates_arguments():
