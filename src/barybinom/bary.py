@@ -196,8 +196,9 @@ def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     The tuple covers at least limit + 1 entries.
 
     This is the series oracle: gf_expand builds f_{|n|} by shift-add
-    passes, and for n < 0 series_inverse divides 1 by it, so it shares
-    nothing with the kernel or the partition sum past the digits.
+    passes over at most |n| + 1 entries, and for n < 0 series_inverse
+    divides 1 by it, so it shares nothing with the kernel or the
+    partition sum past the digits.
     """
     return _table(_series, n, base, limit)
 

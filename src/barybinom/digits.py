@@ -9,6 +9,9 @@ gives S_b(j) for a whole range of j, built one digit level at a time.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
+
 # The most terms one truncated expansion, one value table or one padded
 # digit tuple may need.  A request past it raises ValueError before
 # anything is allocated, where it would otherwise end in MemoryError.  A
@@ -51,23 +54,35 @@ def pair_length(n: int, k: int, b: int) -> int:
 
 def digit_sum(n: int, b: int) -> int:
     """S_b(n), the sum of the sign-consistent digits; S_b(-n) = -S_b(n)."""
-    return sum(to_digits(n, b))
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    m, s = abs(n), 0
+    while m:
+        m, r = divmod(m, b)
+        s += r
+    return -s if n < 0 else s
 
 
 def digit_sum_table(top: int, b: int) -> list[int]:
     """[S_b(j) for j in range(top + 1)], for 0 <= top < MAX_TERMS.
 
-    Built one digit level at a time from the top down: entry b*i + d of
-    a level is entry i of the level above plus d.  A level builds at
-    most top // b**l + 1 entries, so a base past top costs nothing.
+    Built one digit level at a time from the top down: the top level is
+    the top digit of j, and entry b*i + d of each lower level is entry i
+    of the level above plus d, written for each d by one strided
+    assignment.  A level builds at most top // b**l + b entries and
+    keeps top // b**l + 1, so a base past top costs nothing.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
     if not 0 <= top < MAX_TERMS:
         raise ValueError(f"top must be in [0, {MAX_TERMS}), got {top}")
-    t, step = [0], b ** (len(to_digits(top, b)) - 1)
-    while step:
-        width = top // step + 1
-        t = [h + d for h in t for d in range(min(b, width))][:width]
+    step = b ** (len(to_digits(top, b)) - 1)
+    t = list(range(top // step + 1))
+    while step > 1:
         step //= b
+        new = [0] * (len(t) * b)
+        for d in range(b):
+            new[d::b] = map(add, t, repeat(d))
+        del new[top // step + 1 :]
+        t = new
     return t

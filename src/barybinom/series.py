@@ -141,15 +141,17 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     n_l are the sign-consistent digits of n, so they all share n's sign.
     For n >= 0 the polynomial f_n is built by one shift-add pass
     c[r] += c[r - b^l] (every r at once, from the previous values) per
-    unit of each digit.  For n < 0 the kernel _shift_subtract builds
-    1/f_|n| by digit recursion instead: the table of |n| div b at
-    ceil(order / b) terms, spread to every b-th entry and divided by
-    (1 + x) once per unit of the lowest digit, each division one running
-    sum, so digit l costs (|n_l| + 1) * ceil(order / b^l) C-level steps.
-    A factor with b^l >= order leaves the retained terms unchanged.  At
-    infinity f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l| with u = 1/x, and
-    f_|n| is palindromic, so the same coefficients are stored from lead
-    -n: -|n| for n >= 0, and |n| (coefficient +1 at x^-|n|) for n < 0.
+    unit of each digit, over min(order, n + 1) entries: f_n has degree
+    n, so the rest of the window is exact zeros.  For n < 0 the kernel
+    _shift_subtract builds 1/f_|n| by digit recursion instead: the table
+    of |n| div b at ceil(order / b) terms, spread to every b-th entry and
+    divided by (1 + x) once per unit of the lowest digit, each division
+    one running sum, so digit l costs (|n_l| + 1) * ceil(order / b^l)
+    C-level steps.  A factor with b^l >= order leaves the retained terms
+    unchanged.  At infinity f_|n| = x^|n| * prod (1 + u^(b^l))^|n_l|
+    with u = 1/x, and f_|n| is palindromic, so the same coefficients are
+    stored from lead -n: -|n| for n >= 0, and |n| (coefficient +1 at
+    x^-|n|) for n < 0.
     """
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
@@ -160,16 +162,17 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     lead = 0 if point is ExpansionPoint.AT_ZERO else -n
     if n < 0:
         return LaurentSeries(point, lead, _shift_subtract(n, b, order))
-    c = [0] * order
+    size = min(order, n + 1)
+    c = [0] * size
     c[0] = 1
     step = 1
     for d in to_digits(n, b):
-        if step >= order:
+        if step >= size:
             break
         for _ in range(d):
             c[step:] = map(add, c[step:], c)
         step *= b
-    return LaurentSeries(point, lead, tuple(c))
+    return LaurentSeries(point, lead, tuple(c) + (0,) * (order - size))
 
 
 def _shift_subtract(n: int, base: int, size: int) -> tuple[int, ...]:

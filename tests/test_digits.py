@@ -43,12 +43,19 @@ def test_digit_sum_examples():
     assert digit_sum(0, 5) == 0
 
 
+@given(st.integers(-10**30, 10**30) | st.just(0), st.integers(2, 40))
+def test_digit_sum_is_the_sum_of_the_digits(n, b):
+    assert digit_sum(n, b) == sum(to_digits(n, b))
+
+
 @pytest.mark.parametrize("bad", [1, 0, -3])
 def test_invalid_base_rejected(bad):
     with pytest.raises(ValueError):
         to_digits(5, bad)
-    with pytest.raises(ValueError):
-        digit_sum(5, bad)
+    # at b = 1 a bare divmod loop never ends; the check comes first
+    for n in (0, 5, -5, 10**30):
+        with pytest.raises(ValueError, match=f"base must be >= 2, got {bad}"):
+            digit_sum(n, bad)
 
 
 def test_negative_min_len_rejected():
@@ -69,9 +76,19 @@ def test_digit_sum_table_matches_digit_sum(top, b):
     assert digit_sum_table(top, b) == [digit_sum(j, b) for j in range(top + 1)]
 
 
+def test_digit_sum_table_matches_digit_sum_around_powers_of_the_base():
+    # tops just below, at and past b^L, and bases at and past top, where
+    # the top digit's level is the whole table
+    for b in (2, 3, 7, 10, 999, 1000):
+        tops = {0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b}
+        tops |= {b**L + e for L in (2, 3) for e in (-1, 0, 1) if b**L < 20_000}
+        for top in sorted(tops):
+            assert digit_sum_table(top, b) == [digit_sum(j, b) for j in range(top + 1)], (top, b)
+
+
 def test_digit_sum_table_builds_no_more_entries_than_top_needs():
-    # a level builds at most top // b**l + 1 entries: checked by memory at
-    # base 10**6 (b entries would be megabytes) before base 10**9 is run
+    # a base past top leaves one level of top + 1 entries: checked by memory
+    # at base 10**6 (b entries would be megabytes) before base 10**9 is run
     tracemalloc.start()
     try:
         assert digit_sum_table(1, 10**6) == [0, 1]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom import series as series_module
+from barybinom import bary, series as series_module
 from barybinom.digits import to_digits
 from barybinom.series import (
     ExpansionPoint,
@@ -59,6 +59,20 @@ def test_expansion_matches_the_square_and_multiply_build():
                 for point in (ZERO, INF):
                     want = square_and_multiply_expand(n, b, point, order)
                     assert gf_expand(n, b, point, order) == want, (n, b, point, order)
+
+
+def test_positive_expansion_matches_the_digit_product_at_the_expand_scale():
+    # the grid above stops at order 300; the expand workload reaches 4000.
+    # bary.row is the digit product, which shares no code with the
+    # shift-add passes, and is 0 past x^n
+    for b in range(2, 7):
+        for n in sorted({0, 1, b - 1, b, 255, 299, 300}):
+            for order in sorted({n, n + 1, n + 2, 1000, 4000} - {0}):
+                want = tuple(bary.row(n, b, range(order)))
+                for point, lead in ((ZERO, 0), (INF, -n)):
+                    s = gf_expand(n, b, point, order)
+                    assert (s.point, s.lead_exponent, s.order) == (point, lead, order), (n, b, order)
+                    assert s.coeffs == want, (n, b, point, order)
 
 
 def test_expansion_of_f63_at_zero():
