@@ -13,16 +13,17 @@ star_row and dstar_row give either coefficient for a whole list of k,
 built one digit level at a time (bary._digit_table and
 digits.digit_sum_table) over [0, max |k|]; star_row stops at
 b^L - 1, L the digit count of |n|, past which every star value is 0.
-A table past MAX_TERMS raises ValueError before allocating, as in
-bary.row.
+A table past MAX_TERMS raises ValueError before allocating, and an open
+step meter (digits.Meter) is charged first, as in bary.row.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from . import digits
 from .bary import _digit_product, _digit_table
-from .classic import classic_binom
+from .classic import classic_binom, classic_cost
 from .digits import digit_sum, digit_sum_table, to_digits
 
 
@@ -54,6 +55,8 @@ def star_row(n: int, b: int, ks: Sequence[int]) -> list[int]:
     a nonzero digit of k meets a zero digit of n, so every value is 0.
     """
     _check_args(n, b)
+    if digits.meter is not None:  # the read-out
+        digits.meter.charge(len(ks))
     top = b ** len(to_digits(n, b)) - 1
     hi, lo = max(ks, default=0), min(ks, default=0)
     pos = _digit_table(n, b, min(max(hi, 0), top))
@@ -66,8 +69,10 @@ def dstar_row(n: int, b: int, ks: Sequence[int]) -> list[int]:
     of n and one digit-sum table over [0, max |k|], S_b(-j) = -S_b(j)."""
     _check_args(n, b)
     sums = digit_sum_table(max(max(ks, default=0), -min(ks, default=0)), b)
-    s = digit_sum(n, b)
-    pos = [classic_binom(s, j) for j in range(max(sums) + 1)]
+    s, top = digit_sum(n, b), max(sums)
+    if digits.meter is not None:  # the read-out and the values
+        digits.meter.charge(len(ks) + 2 * (top + 1) * classic_cost(s, top))
+    pos = [classic_binom(s, j) for j in range(top + 1)]
     neg = [classic_binom(s, -j) for j in range(len(pos))]
     return [pos[sums[k]] if k >= 0 else neg[sums[-k]] for k in ks]
 

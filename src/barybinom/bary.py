@@ -23,16 +23,19 @@ one table, and none (digit-wise tables included) is longer than
 MAX_TERMS.  A table longer than 2 * MAX_TERMS // CACHE_SIZE terms is
 built for its one request and not cached, so the cache holds at most
 about 2 * MAX_TERMS entries.
+Each table request charges an open step meter (digits.Meter) first,
+cached or not, by the cost function beside its route's builder.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
-from . import series
-from .classic import classic_binom
+from . import digits, series
+from .classic import classic_binom, classic_cost
 from .digits import MAX_TERMS, to_digits
 from .series import ExpansionPoint, gf_expand, series_inverse
 
@@ -113,11 +116,15 @@ def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
     """
     if top >= MAX_TERMS:
         raise ValueError(f"a table of {top + 1} terms exceeds the limit of {MAX_TERMS}")
-    digits = to_digits(n, b)
-    t = [1] + [0] * (top // b ** len(digits))
-    for l in reversed(range(len(digits))):
+    ds = to_digits(n, b)
+    if digits.meter is not None:  # per level: 16 steps of setup, its products and values
+        levels = [(d, top // b**l + 1, min(b, top // b**l + 1)) for l, d in enumerate(ds)]
+        steps = sum(16 + w + v * classic_cost(d, v - 1) for d, w, v in levels)
+        digits.meter.charge(steps)
+    t = [1] + [0] * (top // b ** len(ds))
+    for l in reversed(range(len(ds))):
         width = top // b**l + 1
-        low = [classic_binom(digits[l], sign * d) for d in range(min(b, width))]
+        low = [classic_binom(ds[l], sign * d) for d in range(min(b, width))]
         t = [h * c for h in t for c in low][:width]
     return t
 
@@ -126,13 +133,16 @@ def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
 _cache = lru_cache(maxsize=CACHE_SIZE)(lambda build, n, base, size: build(n, base, size))
 
 
-def _table(build, n: int, base: int, limit: int) -> tuple[int, ...]:
+def _table(build, cost, n: int, base: int, limit: int) -> tuple[int, ...]:
     # entries 0..limit need limit + 1 terms: refused past MAX_TERMS before
     # allocating, else rounded up to a multiple of 64 (as MAX_TERMS is),
-    # and cached only up to _CACHED_TERMS
+    # charged cost(n, base, size) steps whether cached or not, and cached
+    # only up to _CACHED_TERMS
     if limit >= MAX_TERMS:
         raise ValueError(f"a table of {limit + 1} terms exceeds the limit of {MAX_TERMS}")
     size = max(64, -(-(limit + 1) // 64) * 64)
+    if digits.meter is not None:
+        digits.meter.charge(cost(n, base, size))
     return _cache(build, n, base, size) if size <= _CACHED_TERMS else build(n, base, size)
 
 
@@ -148,7 +158,7 @@ def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     # looked up at call time: gf_expand reads the same builder
-    return _table(series._shift_subtract, n, base, limit)
+    return _table(series._shift_subtract, series.expand_cost, n, base, limit)
 
 
 def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
@@ -160,7 +170,7 @@ def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     """
     if n >= 0:
         raise ValueError("partition tables are defined for n < 0 only")
-    return _table(_value_table, n, base, limit)
+    return _table(_value_table, _value_table_cost, n, base, limit)
 
 
 def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
@@ -190,6 +200,20 @@ def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
     return tuple(cur)
 
 
+def _value_table_cost(n: int, base: int, size: int) -> int:
+    # per level: a scan, its weights, and each weight multiply-added into each
+    # entry that may be nonzero (entry 0 at the first level, then multiples of its step)
+    steps, nonzero = 0, 1
+    for l, d in enumerate(to_digits(n, base)):
+        top = (size - 1) // base**l
+        if not top:
+            break
+        if d:
+            steps += size + (top + 1) * (nonzero + classic_cost(d, top))
+            nonzero = max(nonzero, top + 1)
+    return steps
+
+
 def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     """Coefficients [x^r] f_{n,base}(x) at zero for 0 <= r <= limit:
     entry r is binom(n, r)_base and, for n < 0, also binom(n, n - r)_base.
@@ -200,12 +224,19 @@ def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     divides 1 by it, so it shares nothing with the kernel or the
     partition sum past the digits.
     """
-    return _table(_series, n, base, limit)
+    return _table(_series, _series_cost, n, base, limit)
 
 
 def _series(n: int, base: int, size: int) -> tuple[int, ...]:
     f = gf_expand(abs(n), base, ExpansionPoint.AT_ZERO, size)
     return (series_inverse(f) if n < 0 else f).coeffs
+
+
+def _series_cost(n: int, base: int, size: int) -> int:
+    # gf_expand, and for n < 0 series_inverse: a pass over the size
+    # entries for each of the at most prod(|n_l| + 1) nonzero terms of f
+    steps = series.expand_cost(abs(n), base, size)
+    return steps + size * min(prod(1 - d for d in to_digits(n, base)), size) if n < 0 else steps
 
 
 # Each route's table [x^r] 1/f_|n| for n < 0 (AUTO reads the kernel); the
@@ -229,6 +260,8 @@ def row(n: int, base: int, ks: Sequence[int], method: Method = Method.AUTO) -> l
     """
     if (build := _TABLES.get(method)) is None:
         raise ValueError(f"unknown method {method!r}")
+    if digits.meter is not None:  # the read-out
+        digits.meter.charge(len(ks))
     if n >= 0:
         top = min(n, max(ks, default=-1))
         table = _digit_table(n, base, max(top, 0))

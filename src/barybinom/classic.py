@@ -9,7 +9,8 @@ Values are cached in an lru_cache of CACHE_SIZE entries: enough for
 the digit-sized keys the sweeps share (one `verify --suite all` ends
 with about 2,100), and a bound for any other caller.  Callers with a
 one-off grid of keys, such as the lucas sweep, read past the cache
-through classic_binom.__wrapped__.
+through classic_binom.__wrapped__.  classic_cost is the step count a
+caller charges to the step meter (digits.Meter) for a run of values.
 """
 
 from __future__ import annotations
@@ -40,3 +41,15 @@ def classic_binom(n: int, k: int) -> int:
     if k <= n:
         return (-1) ** ((n - k) & 1) * comb(-k - 1, n - k)
     return 0
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def classic_cost(n: int, k: int) -> int:
+    """Steps one uncached classic_binom(n, j) takes for |j| <= |k|: its
+    value is C(N, K) with N <= |n| + |k| (N <= n for n >= 0) and
+    K <= min(|n|, |k|), of at most min(N, K * log2(3N / K)) bits, and
+    math.comb's time grows about as those bits times K."""
+    big = abs(n) + (abs(k) if n < 0 else 0)
+    small = min(abs(n), abs(k))
+    bits = min(big, small * (3 * big // small).bit_length()) if small else 0
+    return 1 + bits * small // 1024

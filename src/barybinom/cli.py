@@ -6,10 +6,12 @@ counterexample, 2 usage error, 141 stdout was closed before all output
 was written (what a shell reports for SIGPIPE, e.g. under `| head`).
 Usage errors include a verify --base below 2 or --prime that is not
 prime, a verify --nmax or --kmax whose sweep rows would pass MAX_TERMS
-entries (n_max + 1 or 2 * k_max + 1) or whose work at a base or prime
-the run sweeps would pass WORK_BUDGET = 10 * MAX_TERMS steps (each
-suite's per-base work, identities.SUITES[name].work, a bound not given
-being the check's default; all refused before any suite runs), bounds
+entries (n_max + 1 or 2 * k_max + 1; refused before any suite runs),
+work past the step budget (a step meter, digits.Meter, of WORK_BUDGET =
+10 * MAX_TERMS steps for each base or prime a verify suite sweeps, and
+one each for binom, expand and the test of --prime: work is charged
+before it runs, so a refused command stops after about one budget's
+worth, and verify prints nothing), bounds
 under which a sweep checks no case, a verify option that no selected
 suite takes (--kmax for aggregation, --base for lucas, --prime for a
 base-swept suite; --suite all applies each option to the suites that
@@ -39,12 +41,12 @@ import os
 import sys
 from math import isqrt
 
-from . import identities, partitions
+from . import digits, identities, partitions
 from .altdefs import dstar_binom, star_binom
 from .bary import Method, bary_binom
 from .digits import to_digits
 from .identities import IdentityReport
-from .series import ExpansionPoint, gf_expand
+from .series import ExpansionPoint, expand_cost, gf_expand
 
 MAX_WITNESS_LINES = 20
 
@@ -129,14 +131,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_binom(args) -> int:
-    if args.variant == "std":
-        value = bary_binom(args.n, args.k, args.base, Method(args.method or "auto"))
-    elif args.method is not None:
-        raise ValueError(f"--method is not taken by --variant {args.variant}")
-    elif args.variant == "star":
-        value = star_binom(args.n, args.k, args.base)
-    else:
-        value = dstar_binom(args.n, args.k, args.base)
+    with digits.metered(digits.WORK_BUDGET, f"binom --base {args.base} --n {args.n} --k {args.k}"):
+        if args.variant == "std":
+            value = bary_binom(args.n, args.k, args.base, Method(args.method or "auto"))
+        elif args.method is not None:
+            raise ValueError(f"--method is not taken by --variant {args.variant}")
+        elif args.variant == "star":
+            value = star_binom(args.n, args.k, args.base)
+        else:
+            value = dstar_binom(args.n, args.k, args.base)
     if args.format == "json":
         _emit_json(
             {
@@ -154,7 +157,10 @@ def cmd_binom(args) -> int:
 
 def cmd_expand(args) -> int:
     point = ExpansionPoint.AT_ZERO if args.at == "zero" else ExpansionPoint.AT_INFINITY
-    series = gf_expand(args.n, args.base, point, args.order)
+    what = f"expand --base {args.base} --n {args.n} --order {args.order}"
+    with digits.metered(digits.WORK_BUDGET, what) as meter:
+        meter.charge(expand_cost(args.n, args.base, args.order))
+        series = gf_expand(args.n, args.base, point, args.order)
     if args.format == "json":
         for e, c in series.terms():
             _emit_json({"exponent": str(e), "coefficient": str(c)})
@@ -222,20 +228,16 @@ def cmd_verify(args) -> int:
             )
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
     calls = [_kwargs(identities.SUITES[name], args) for name in names]
-    for name, kw in zip(names, calls):
-        sweep, *bounds = kw  # bases or primes first, in the order of _PARAMS
-        bound = {p: kw[p] for p in bounds}
-        for value in kw[sweep]:
-            if (count := identities.SUITES[name].work(value, **bound)) > identities.WORK_BUDGET:
-                given = " ".join(f"--{p.replace('_', '')} {v}" for p, v in bound.items())
-                raise ValueError(
-                    f"{given} makes {name} take {count} steps at {sweep[:-1]} {value},"
-                    f" past the budget of {identities.WORK_BUDGET}"
-                )
     for option, param in _PARAMS.items():
         if getattr(args, option) is not None and not any(param in kw for kw in calls):
             raise ValueError(f"--{option} is not taken by suite {args.suite}")
-    results = [(name, identities.SUITES[name].func(**kw)) for name, kw in zip(names, calls)]
+    results = []
+    for name, kw in zip(names, calls):
+        (sweep, swept), *bounds = kw.items()  # bases or primes first, as in _PARAMS
+        given = " ".join(f"--{p.replace('_', '')} {v}" for p, v in bounds)
+        at = f"{sweep if len(swept) > 1 else sweep[:-1]} {','.join(map(str, swept))}"
+        with digits.metered(digits.WORK_BUDGET * len(swept), f"suite {name} at {at} with {given}"):
+            results.append((name, identities.SUITES[name].func(**kw)))
     for name, report in results:
         if not report.checked_count:
             # a sweep that checked nothing cannot vouch for the identity
@@ -273,7 +275,9 @@ def _kwargs(spec, args) -> dict:
 
 
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    with digits.metered(digits.WORK_BUDGET, f"testing --prime {p}") as meter:
+        meter.charge(isqrt(max(p, 0)))  # the trial divisions
+        return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _report_json(name: str, report: IdentityReport) -> dict:

@@ -5,18 +5,53 @@ digit tuple of -n is the elementwise negation of the digit tuple of n.
 All digit-wise formulas in this package rely on that convention.
 Digits are plain tuples, least-significant first.  digit_sum_table
 gives S_b(j) for a whole range of j, built one digit level at a time.
+Beside MAX_TERMS, the bound on memory, sits the step meter, on time.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import repeat
 from operator import add
+from typing import Iterator
 
 # The most terms one truncated expansion, one value table or one padded
 # digit tuple may need.  A request past it raises ValueError before
 # anything is allocated, where it would otherwise end in MemoryError.  A
 # multiple of 64, so bucketed sizes never round past it.
 MAX_TERMS = 10**6
+
+# The steps one metered request may take.  A step is about 0.1 us: one
+# entry of a C-level pass or an interpreted loop, more for big integers.
+# Each builder charges the open meter, if any, before it runs, from its
+# request alone (cache hits included), so the refusal point depends only
+# on the request; with no meter open it pays one None check.
+WORK_BUDGET = 10 * MAX_TERMS
+
+meter: Meter | None = None  # the open one, set by metered
+
+
+class Meter:
+    """Steps spent against a budget; charge raises ValueError past it."""
+
+    def __init__(self, budget: int, what: str):
+        self.budget, self.what, self.spent = budget, what, 0
+
+    def charge(self, steps: int) -> None:
+        self.spent += steps
+        if self.spent > self.budget:
+            raise ValueError(f"{self.what} takes more than {self.budget} steps")
+
+
+@contextmanager
+def metered(budget: int, what: str) -> Iterator[Meter]:
+    """A Meter of budget steps, open for the block."""
+    global meter
+    outer, meter = meter, Meter(budget, what)
+    try:
+        yield meter
+    finally:
+        meter = outer
 
 
 def to_digits(n: int, b: int, min_len: int = 0) -> tuple[int, ...]:
@@ -76,7 +111,10 @@ def digit_sum_table(top: int, b: int) -> list[int]:
         raise ValueError(f"base must be >= 2, got {b}")
     if not 0 <= top < MAX_TERMS:
         raise ValueError(f"top must be in [0, {MAX_TERMS}), got {top}")
-    step = b ** (len(to_digits(top, b)) - 1)
+    levels = len(to_digits(top, b))
+    step = b ** (levels - 1)
+    if meter is not None:  # level l writes top // b**l + 1 entries in b slices
+        meter.charge(top // step + 1 + sum(top // b**l + 1 + b for l in range(levels - 1)))
     t = list(range(top // step + 1))
     while step > 1:
         step //= b

@@ -17,34 +17,50 @@ check:
 - chu-neg and chu-mixed: products of kernel tables against the kernel
   on the zero side and the partition sum on the infinity side.
 
-Each registered suite carries its work per base (SuiteSpec.work): a
-closed form in one base (or prime) and the check's bounds that counts
-the steps the sweep takes there, kernel passes and value sizes
-included.  verify refuses bounds whose work at any base it would sweep
-passes WORK_BUDGET; the defaults fit it at every default base, and the
-whole registry runs in about a second.  Digit sums are read off one
-digits.digit_sum_table per base: S_b(n) and S_b(k) in aggregation, and
-carry-freeness in the chu sweeps, since each carry in n + m lowers
-S_b(n + m) by b - 1.
+verify runs each suite under a step meter (digits.Meter), charged by the
+tables a check reads and by its own loops (compares, the chu packing and
+products, the math.comb rows, prop33's weight loop).  The defaults fit
+at every default base, and the whole registry runs in about a second.
+Digit sums are read off one digits.digit_sum_table per base: S_b(n) and
+S_b(k) in aggregation, and carry-freeness in the chu sweeps, since each
+carry in n + m lowers S_b(n + m) by b - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, isqrt
+from itertools import repeat
+from math import isqrt
 from typing import Callable, Iterable, Sequence
 
+from . import digits
 from .altdefs import dstar_row, star_row
 from .bary import Method, row
-from .classic import classic_binom
+from .classic import classic_binom, classic_cost
 from .digits import digit_sum_table, to_digits
 from .series import MAX_TERMS
 
-# check_lucas reads its grid of about 29,000 keys past the cache (the
-# lru_cache's __wrapped__), so the cache keeps the digit-sized keys the
-# other sweeps share
-_classic_uncached = classic_binom.__wrapped__
+
+def _charge(steps: int) -> None:
+    if digits.meter is not None:
+        digits.meter.charge(steps)
+
+
+def _classic_row(n: int, ks: range) -> list[int]:
+    """classic_binom(n, k) for k in the range ks, charged first and read
+    past the cache (its __wrapped__), so that the cache keeps the
+    digit-sized keys the sweeps share: lucas reads about 29,000 keys."""
+    _charge(len(ks) * classic_cost(n, max(-ks[0], ks[-1]) if ks else 0))
+    return list(map(classic_binom.__wrapped__, repeat(n, len(ks)), ks))
+
+
+def _product(a: int, b: int) -> int:
+    """a * b, charged first: (bits / 100) ** 1.5 steps at equal sizes, in
+    proportion to the longer at unequal ones (timed up to 10**6 bits)."""
+    low, high = sorted((a.bit_length(), b.bit_length()))
+    _charge((1 + high // 100) * isqrt(1 + low // 100))
+    return a * b
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,7 @@ class _Tally:
         at ks[i], with a Witness(key + (k,) + tag, lhs, rhs) for each k
         where they differ.  Comparing the whole lists first keeps the
         all-equal case out of the interpreter loop."""
+        _charge(len(ks))
         self.checked += len(ks)
         if lhs != rhs:
             self.failures += [
@@ -93,6 +110,7 @@ class _Tally:
         compare, and only on a mismatch are both decoded and their last
         len(ks) slots, reversed back with reverse, compared for witnesses."""
         size = len(ks) if size is None else size
+        _charge(size)
         if not (product - lhs) & ((1 << w * size) - 1):
             self.checked += len(ks)
             return
@@ -135,6 +153,7 @@ def _pascal(t: _Tally, variant: str, b: int, ks: Sequence[int], reach: int = 1) 
         sub = [k for k in ks if k] if n == s and 0 in ks else ks
         t.skipped += len(ks) - len(sub)
         high, low = values(-n + s), values(-n)
+        _charge(2 * len(sub))  # the two sides' lists, built here
         lhs = [low[k - lo] + low[k - s - lo] for k in sub]
         t.compare(key, sub, lhs, [high[k - lo] for k in sub])
 
@@ -231,7 +250,11 @@ def check_prop33(
                 at = dict(zip(shifted, row(-n + bm, b, shifted)))
                 rhs = [0] * len(ks)
                 js = range(0, bs + 1, bm)
-                for j, w in zip(js, row(bs - bm, b, js)):
+                weights, values = row(bs - bm, b, js), at.values()
+                # a multiply-add of an A-bit by a B-bit int: about A * B / 10**5 steps
+                bits = max(map(abs, weights)).bit_length() * max(map(abs, values)).bit_length()
+                _charge(len(js) * len(ks) * (1 + bits // 10**5))
+                for j, w in zip(js, weights):
                     if w:
                         rhs = [r + w * at[k - j] for r, k in zip(rhs, ks)]
                 t.compare((b, n, s, m), ks, row(-n + bs, b, ks), rhs)
@@ -262,10 +285,11 @@ def _pack_tables(*tables: dict[int, Sequence[int]]) -> int:
     at one slot width w, and return w: the least width at which every
     entry and every coefficient of a product of two lists, at most
     top**2 * longest in magnitude, fits a signed slot.  Each list is
-    dropped as it is packed."""
+    dropped as it is packed.  _pack's running sum makes L slots cost L + L * L * w // 4096 steps."""
     top = max((abs(x) for t in tables for c in t.values() for x in c), default=0)
     longest = max((len(c) for t in tables for c in t.values()), default=0)
     w = (top * top * longest).bit_length() + 1
+    _charge(sum(len(c) + len(c) ** 2 * w // 4096 for t in tables for c in t.values()))
     for t in tables:
         for s, c in t.items():
             t[s] = _pack(c, w)
@@ -300,11 +324,12 @@ def check_chu_negative(
         at_inf = {s: row(-s, b, range(size), Method.PARTITION) for s in range(2, n_max + 1)}
         w, sums = _pack_tables(kernel, at_inf), digit_sum_table(max(n_max, 0), b)
         for n in range(1, n_max // 2 + 1):
+            _charge(n_max - 2 * n + 1)  # the carry tests
             for m in range(n, n_max - n + 1):
                 if sums[n] + sums[m] != sums[n + m]:  # n + m carries
                     t.skipped += 1
                     continue
-                key, product, zero = (b, n, m), kernel[n] * kernel[m], range(m, size)
+                key, product, zero = (b, n, m), _product(kernel[n], kernel[m]), range(m, size)
                 t.compare_packed(key, zero, kernel[n + m], product, w, "zero", size=size)
                 inf = range(-(n + m), -k_max - 1, -1)
                 t.compare_packed(key, inf, at_inf[n + m], product, w, "infinity")
@@ -350,16 +375,18 @@ def check_chu_mixed(
         at_inf = {s: row(-s, b, zero, Method.PARTITION) for s in pos}
         w, sums = _pack_tables(kernel, at_inf, pos, rev), digit_sum_table(max(n_max, 0), b)
         for n in range(2, n_max + 1):
+            _charge(n - 1)  # the carry tests
             for m in range(1, n):
                 if sums[m] + sums[n - m] != sums[n]:  # m + (n - m) carries
                     t.skipped += 1
                     continue
                 key, ks = (b, n, m), range(n - m + 1)
-                t.compare_packed(key, ks, pos[n - m], pos[n] * kernel[m], w, "pos-j")
-                t.compare_packed(key, ks, rev[n - m], rev[n] * kernel[m], w, "pos-s", True)
-                t.compare_packed(key, zero, kernel[n - m], kernel[n] * pos[m], w, "neg-zero")
+                t.compare_packed(key, ks, pos[n - m], _product(pos[n], kernel[m]), w, "pos-j")
+                t.compare_packed(key, ks, rev[n - m], _product(rev[n], kernel[m]), w, "pos-s", True)
+                neg = _product(kernel[n], pos[m])
+                t.compare_packed(key, zero, kernel[n - m], neg, w, "neg-zero")
                 inf = range(-(n - m), -(n - m) - len(zero), -1)
-                t.compare_packed(key, inf, at_inf[n - m], kernel[n] * rev[m], w, "neg-inf")
+                t.compare_packed(key, inf, at_inf[n - m], _product(kernel[n], rev[m]), w, "neg-inf")
         del kernel, at_inf, pos, rev
     return t.report(
         "chu-mixed", f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}"
@@ -375,7 +402,7 @@ def check_lucas(
     ks = range(-k_max, k_max + 1)
     for p in primes:
         for n in range(-n_max, n_max + 1):
-            lhs = [_classic_uncached(n, k) % p for k in ks]
+            lhs = [v % p for v in _classic_row(n, ks)]
             t.compare((p, n), ks, lhs, [v % p for v in row(n, p, ks)])
     return t.report("lucas", f"p in {_fmt(primes)}, |n| <= {n_max}, |k| <= {k_max}")
 
@@ -397,7 +424,7 @@ def check_digit_sum_aggregation(
                 if v:
                     sums[digit_sums[k]] += v
             js = range(total + 1)
-            t.compare((b, n), js, [comb(total, j) for j in js], sums)
+            t.compare((b, n), js, _classic_row(total, js), sums)
     return t.report("aggregation", f"b in {_fmt(bases)}, n in [1,{n_max}], all j")
 
 
@@ -482,264 +509,25 @@ def _fmt(values: Iterable[int]) -> str:
     return ",".join(str(v) for v in values)
 
 
-# verify refuses bounds whose work per base, SuiteSpec.work at each base
-# (or prime) the run would sweep, passes WORK_BUDGET, before any suite
-# runs.  Work is counted in steps: one step is one pass of an
-# interpreted loop over one entry (about 0.1 us at Python 3.11 on two
-# vCPUs), and an entry of B bits counts as 1 + B // _WORD steps.  The
-# forms bound what grows with the base: a kernel table of -s is counted
-# as S_b(s) interpreted passes, an upper bound since the kernel builds it
-# by digit recursion in (s_l + 1) C-level passes of ceil(size / b^l)
-# entries per digit s_l, and its entries, like every partition term and
-# classic_binom(-S, r), are at most C(S + r - 1, r) in magnitude, since
-# |[x^r] 1/f_s| <= [x^r] (1 - x)^-S_b(s); a digit table computes b
-# classic_binom values per digit level.  The constants were fitted to
-# timed runs at bases 2, 7 and 1000.
-WORK_BUDGET = 10 * MAX_TERMS
-_WORD = 1024
-
-
-def _bits(total: int, r: int) -> int:
-    """An upper bound on the bits of C(total + r, r): exact while
-    m = min(total, r) <= 4096, else m * bits(total + r), since
-    C(N, m) <= N**m (math.comb slows down past there)."""
-    total, r = max(total, 0), max(r, 0)
-    m = min(total, r)
-    return comb(total + r, m).bit_length() if m <= 4096 else m * (total + r).bit_length()
-
-
-def _steps(count: int, bits: int) -> int:
-    """count loop passes over entries of at most bits bits."""
-    return count * (1 + bits // _WORD)
-
-
-def _product(a: int, b: int) -> int:
-    """Steps for one product of an a-bit and a b-bit int: about
-    (a / 100) ** 1.5 under Karatsuba when a = b, and b / a times that
-    for a < b, as timed up to 10**6 bits."""
-    low, high = sorted((a, b))
-    return (1 + high // 100) * isqrt(1 + low // 100)
-
-
-def _comb(bits: int) -> int:
-    """Steps for one math.comb call whose value has at most bits bits,
-    as timed up to 20,000 bits."""
-    return 1 + bits * bits // 4096
-
-
-def _digit_sums(top: int, b: int) -> tuple[int, int]:
-    """The sum and the largest of S_b(j) over 0 <= j <= top, from the
-    digits of top alone (digit_sum_table builds b entries a level)."""
-    digits = to_digits(max(top, 0), b)
-    total, most = 0, sum(digits)
-    for l, d in enumerate(digits):
-        # digit l runs through 0..b-1, p times each, in every block of
-        # p * b consecutive j; the last block is cut short at top
-        p = b**l
-        blocks, rest = divmod(max(top, 0) + 1, p * b)
-        total += blocks * p * b * (b - 1) // 2 + p * (rest // p) * (rest // p - 1) // 2
-        total += (rest // p) * (rest % p)
-        if d:  # digit l lowered by one, every digit below it b - 1
-            most = max(most, sum(digits[l + 1 :]) + d - 1 + l * (b - 1))
-    return total, most
-
-
-def _carry_free(top: int, b: int) -> int:
-    """The pairs (m, s - m), 0 <= m <= s <= top, with no carry in
-    m + (s - m): the sum over s of prod(digit + 1), from the digits of
-    top alone (digits below a lowered one range over all of 0..b-1)."""
-    digits = to_digits(max(top, 0), b)
-    count, above = 0, 1
-    for l in reversed(range(len(digits))):
-        d = digits[l]
-        count += above * d * (d + 1) // 2 * (b * (b + 1) // 2) ** l
-        above *= d + 1
-    return count + above
-
-
-def _digit_levels(b: int, n: int, star: bool = False) -> int:
-    """Steps a digit table of a number of at most n in absolute value
-    takes beyond its entries: per digit level, b more entries and the b
-    values classic_binom(n_l, +-d), d < b.  For n >= 0 at most
-    min(b - 1, n) + 1 of them are nonzero, each below 2**min(b - 1, n);
-    a star value is at most C(|n_l| + b, b)."""
-    m = min(b - 1, max(n, 0))
-    values = b * _comb(_bits(m, b)) if star else b + (m + 1) * _comb(m)
-    return len(to_digits(n, b)) * (2 * b + values)
-
-
-def _partition(b: int, n: int, size: int) -> int:
-    """Passes to build the partition tables of -s, 1 <= s <= n, at size
-    entries: a scan of the table and its weights per digit level, and
-    for s of two digits or more about size**2 / (2 b**l) multiply-adds
-    at each level l >= 1 with b**l < size."""
-    levels = len(to_digits(n, b)) + 2
-    wide = size * size // (2 * (b - 1)) if b < size else 0
-    return n * levels * size + max(n - b + 1, 0) * wide
-
-
-def _work_symmetry(b: int, n_max: int, k_max: int) -> int:
-    # n < 0: a kernel and a partition table of k_max + 1 entries per n;
-    # n >= 0: two digit tables of at most n + 1 entries; four passes over
-    # the 2 k_max + 1 values of each n
-    n, size = max(n_max, 0), max(k_max + 64, 0)
-    total, top = _digit_sums(n, b)
-    negative = _steps(total * size + _partition(b, n, size), _bits(top, size))
-    positive = _steps(2 * n * (n + 1), top) + 2 * (n + 1) * _digit_levels(b, n)
-    return negative + positive + 4 * (2 * n + 1) * max(2 * k_max + 1, 0)
-
-
-def _work_cross_oracle(b: int, n_max: int, k_max: int) -> int:
-    # per n: gf_expand's S_b(n) passes, series_inverse's size passes over
-    # the at most min(n + 1, size) nonzero terms of f_n, a partition
-    # table, and three passes over the 2 k_max + 1 values
-    n, size = max(n_max, 0), max(k_max + 64, 0)
-    total, top = _digit_sums(n, b)
-    dense = min(n, size - 1)  # f_s has at most s + 1 nonzero terms
-    inverse = size * (dense * (dense + 3) // 2 + (n - dense) * size)
-    work = total * size + inverse + _partition(b, n, size)
-    return _steps(work, _bits(top, size)) + 3 * n * max(2 * k_max + 1, 0)
-
-
-def _work_pascal(b: int, n_max: int, k_max: int) -> int:
-    # a kernel table of k_max + 2 entries for every -m, 0 < m <= n_max,
-    # the digit table of m = 0, and four passes over its window of
-    # 2 k_max + 2 values
-    n, size = max(n_max, 0), max(k_max + 65, 0)
-    total, top = _digit_sums(n, b)
-    work = total * size + 4 * (n + 1) * max(2 * k_max + 2, 0)
-    return _steps(work, _bits(top, size)) + _digit_levels(b, 0)
-
-
-def _work_pascal_power(b: int, n_max: int, k_max: int) -> int:
-    # per n, the kernel tables of -n and of -n + b^s for each nonzero
-    # digit s (the digit table of 0 at n = b^s), over a window widened by
-    # the largest step, and four passes over the window for each s
-    n, length = max(n_max, 0), len(to_digits(n_max, b))
-    reach = b ** (length - 1)
-    window, size = max(2 * k_max + 1, 0) + reach, max(k_max + reach + 64, 0)
-    total, top = _digit_sums(n, b)
-    work = (length + 1) * (total * size + 4 * n * window)
-    return _steps(work, _bits(top, size)) + length * _digit_levels(b, 0)
-
-
-def _work_prop33(b: int, n_max: int, k_max: int) -> int:
-    # the n with exactly t trailing zero digits, grouped by t; per (n, m):
-    # a digit table of the bs - bm weights, the left row's kernel table
-    # and the right's (counted as bs // 128 + 2 tables, an upper bound
-    # since one row serves every shift j), and three passes over the
-    # 2 k_max + 2 values for each of the bs / bm + 1 weights j, each a
-    # multiply-add by a weight below 2**((b - 1) t)
-    n, window = max(n_max, 0), max(2 * k_max + 2, 0)
-    _, top = _digit_sums(n, b)
-    work, t = 0, 1
-    while b**t <= n:
-        bs = b**t
-        size = max(k_max + bs + 64, 0)
-        bits = _bits(top, size)
-        per_m = _steps((bs // 128 + 3) * top * size, bits) + _digit_levels(b, bs) + 2 * bs
-        per_n = t * per_m + _steps(3 * (2 * bs + t) * window, bits + (b - 1) * t)
-        work += (n // bs - n // (bs * b)) * per_n
-        t += 1
-    return work
-
-
-def _work_chu_negative(b: int, n_max: int, k_max: int) -> int:
-    # a kernel and a partition table of k_max + 1 entries per s <= n_max,
-    # each packed at slot width w; a carry test per unordered pair, and
-    # per carry-free pair one product of two packed tables and two
-    # compares of k_max + 1 slots
-    n, size, slots = max(n_max, 0), max(k_max + 64, 0), max(k_max + 1, 0)
-    total, top = _digit_sums(n, b)
-    bits = _bits(top, size)
-    w = 2 * bits + size.bit_length() + 1
-    tables = _steps(total * size + _partition(b, n, size), bits) + _digit_levels(b, n)
-    tables += 2 * n * _steps(slots, slots * w // 2)
-    pairs = _carry_free(n, b) // 2 * (_product(slots * w, slots * w) + 2 * slots)
-    return tables + (n // 2) * (n - n // 2) + pairs
-
-
-def _work_chu_mixed(b: int, n_max: int, k_max: int) -> int:
-    # per s <= n_max a kernel row of span = max(n_max, k_max) + 1 entries,
-    # a partition row of k_max + 1, the row d_s and its reverse, all
-    # packed at slot width w; a carry test per pair m < n, and per
-    # carry-free pair four products of a row d and a kernel row and four
-    # compares
-    n, size, span = max(n_max, 0), max(k_max + 64, 0), max(n_max, k_max, -1) + 1
-    total, top = _digit_sums(n, b)
-    bits = _bits(top, span + 63)  # a kernel row is read off a table of span + 63
-    w = 2 * bits + span.bit_length() + 1
-    tables = _steps(total * (span + 63) + _partition(b, n, size), bits)
-    tables += _steps(n * (n + 1), top) + (n + 1) * _digit_levels(b, n)
-    tables += 4 * n * _steps(span, span * w // 2)
-    products = 4 * _product((n + 1) * w, span * w) + 4 * span
-    return tables + n * (n - 1) // 2 + _carry_free(n, b) * products
-
-
-def _work_lucas(p: int, n_max: int, k_max: int) -> int:
-    # a math.comb call and a row value for each of the (2 n_max + 1) *
-    # (2 k_max + 1) keys, each at most C(|n| + |k|, |k|) in magnitude,
-    # and a kernel or digit table of k_max + 1 entries per n
-    n, k, size = max(n_max, 0), max(k_max, 0), max(k_max + 64, 0)
-    total, top = _digit_sums(n, p)
-    grid = (2 * n + 1) * max(2 * k_max + 1, 0) * (4 + _comb(_bits(n, k)))
-    rows = _steps(total * size + 2 * (n + 1) * k, _bits(top, size))
-    return grid + rows + (n + 1) * _digit_levels(p, n)
-
-
-def _work_aggregation(b: int, n_max: int) -> int:
-    # per n: a digit table of n + 1 entries and a pass over it, and
-    # C(S_b(n), j) for the S_b(n) + 1 digit sums j
-    n = max(n_max, 0)
-    total, top = _digit_sums(n, b)
-    rows = _steps(2 * n * (n + 1), top) + (n + 1) * _digit_levels(b, n)
-    return rows + (total + n) * (2 + _comb(top))
-
-
-def _work_star_pascal(b: int, n_max: int, k_max: int) -> int:
-    # per m <= n_max: a digit table over [0, k_max] for either sign of k,
-    # its entries below 2**(S_b(m) + (b - 1) * digits), a read of it, and
-    # three passes over the k_max values
-    n, k = max(n_max, 0), max(k_max, 0)
-    _, top = _digit_sums(n, b)
-    bits = top + (b - 1) * len(to_digits(n, b))
-    return (n + 1) * (_steps(6 * k + 1, bits) + 2 * _digit_levels(b, n, star=True))
-
-
-def _work_dstar_pascal(b: int, n_max: int, k_max: int) -> int:
-    # per m <= n_max: a digit-sum table over [0, k_max], classic_binom(
-    # -S_b(m), +-j) for each digit sum j of k, a read of the row, and
-    # three passes over the k_max values
-    n, k = max(n_max, 0), max(k_max, 0)
-    _, top = _digit_sums(n, b)
-    _, sums = _digit_sums(k, b)
-    bits = _bits(top, sums)
-    per_m = 6 * k + 2 + b * len(to_digits(k, b)) + 2 * (sums + 1) * _comb(bits)
-    return _steps((n + 1) * per_m, bits)
-
-
 @dataclass(frozen=True)
 class SuiteSpec:
     """One registered sweep.  Its check sweeps either bases or primes;
     a driver reads which, and which bounds it takes, off the signature
-    of func.  work(b, **bounds) is the steps the check takes at the one
-    base (or prime) b under those bounds, a closed form verify holds to
-    WORK_BUDGET."""
+    of func, which charges the open step meter as it works."""
 
     func: Callable[..., IdentityReport]
-    work: Callable[..., int]
 
 
 SUITES: dict[str, SuiteSpec] = {
-    "symmetry": SuiteSpec(check_symmetry, _work_symmetry),
-    "pascal": SuiteSpec(check_pascal, _work_pascal),
-    "pascal-power": SuiteSpec(check_pascal_power, _work_pascal_power),
-    "prop33": SuiteSpec(check_prop33, _work_prop33),
-    "chu-neg": SuiteSpec(check_chu_negative, _work_chu_negative),
-    "chu-mixed": SuiteSpec(check_chu_mixed, _work_chu_mixed),
-    "lucas": SuiteSpec(check_lucas, _work_lucas),
-    "aggregation": SuiteSpec(check_digit_sum_aggregation, _work_aggregation),
-    "star-pascal": SuiteSpec(check_star_pascal, _work_star_pascal),
-    "dstar-pascal": SuiteSpec(check_dstar_pascal, _work_dstar_pascal),
-    "cross-oracle": SuiteSpec(check_cross_oracle, _work_cross_oracle),
+    "symmetry": SuiteSpec(check_symmetry),
+    "pascal": SuiteSpec(check_pascal),
+    "pascal-power": SuiteSpec(check_pascal_power),
+    "prop33": SuiteSpec(check_prop33),
+    "chu-neg": SuiteSpec(check_chu_negative),
+    "chu-mixed": SuiteSpec(check_chu_mixed),
+    "lucas": SuiteSpec(check_lucas),
+    "aggregation": SuiteSpec(check_digit_sum_aggregation),
+    "star-pascal": SuiteSpec(check_star_pascal),
+    "dstar-pascal": SuiteSpec(check_dstar_pascal),
+    "cross-oracle": SuiteSpec(check_cross_oracle),
 }

@@ -18,6 +18,7 @@ production kernel behind gf_expand and bary.shift_subtract_table.  It
 splits the product by digits, 1/f_m(x) = (1 + x)^-m_0 * (1/f_{m div b})(x^b),
 so only the lowest digit's divisions run over the full length and each
 is one itertools.accumulate.
+expand_cost counts gf_expand's steps for the step meter (digits.Meter).
 series_inverse is generic series division; of the coefficient routes
 only the series oracle (bary.series_table) runs it, inverting
 gf_expand(|n|).
@@ -153,12 +154,7 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     stored from lead -n: -|n| for n >= 0, and |n| (coefficient +1 at
     x^-|n|) for n < 0.
     """
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order > MAX_TERMS:
-        raise ValueError(f"order {order} exceeds the limit of {MAX_TERMS} terms")
+    _check_expansion(b, order)
     lead = 0 if point is ExpansionPoint.AT_ZERO else -n
     if n < 0:
         return LaurentSeries(point, lead, _shift_subtract(n, b, order))
@@ -198,6 +194,29 @@ def _shift_subtract(n: int, base: int, size: int) -> tuple[int, ...]:
             e = list(accumulate(e))
     e[1::2] = map(neg, e[1::2])
     return tuple(e)
+
+
+def _check_expansion(b: int, order: int) -> None:
+    if b < 2:
+        raise ValueError(f"base must be >= 2, got {b}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if order > MAX_TERMS:
+        raise ValueError(f"order {order} exceeds the limit of {MAX_TERMS} terms")
+
+
+def expand_cost(n: int, b: int, order: int) -> int:
+    """Steps of gf_expand(n, b, point, order), refusing what it refuses: the
+    kernel's sum_l (|n_l| + 1) * ceil(order / b^l) for n < 0, a pass over
+    min(order, n + 1) per unit of each digit for n >= 0, and one over order."""
+    _check_expansion(b, order)
+    m, steps, step = abs(n), order, 1
+    size = order if n < 0 else min(order, n + 1)
+    while m and step < size:
+        m, d = divmod(m, b)
+        steps += (d + 1) * -(-size // step) if n < 0 else d * size
+        step *= b
+    return steps
 
 
 def coefficient(s: LaurentSeries, e: int) -> int:

@@ -382,3 +382,76 @@ def test_huge_and_sparse_rows_are_refused_before_allocating(monkeypatch):
     for k in ks:
         assert star_binom(n, k, 3) == digit_product_literal(n, k, 3)
         assert dstar_binom(n, k, 3) == classic_binom(digits.digit_sum(n, 3), digits.digit_sum(k, 3))
+
+
+def test_costs_are_computed_only_while_a_meter_is_open(monkeypatch):
+    # library callers pay one None check per table: every cost function
+    # is replaced by one that fails, and every route still answers
+    def refused(*args):
+        raise AssertionError("a cost was computed with no meter open")
+
+    for module, name in (
+        (bary.series, "expand_cost"),
+        (bary, "_value_table_cost"),
+        (bary, "_series_cost"),
+        (bary, "classic_cost"),
+        (altdefs, "classic_cost"),
+    ):
+        monkeypatch.setattr(module, name, refused)
+    bary._cache.cache_clear()
+    for method in NEG_METHODS:
+        assert bary.row(-6, 4, [7, -8], method) == [-4, 3]
+    assert bary.row(6, 4, [1]) == [2]
+    assert (star_row(-6, 4, [7]), dstar_row(-6, 4, [7])) == ([4], [15])
+    with pytest.raises(AssertionError):
+        with digits.metered(10**9, "test"):
+            bary.row(-6, 4, [7])
+
+
+def test_every_table_request_is_charged_whether_cached_or_not():
+    # the kernel's charge is sum over its levels l of (|n_l| + 1) *
+    # ceil(size / b^l) and one pass over size; read-outs one step a k
+    bary._cache.cache_clear()
+    spent = []
+    for _ in range(2):
+        with digits.metered(10**9, "test") as meter:
+            shift_subtract_table(-6, 4, 100)  # 128 entries, digits (2, 1)
+        spent.append(meter.spent)
+    assert spent == [3 * 128 + 2 * 32 + 128] * 2
+    with pytest.raises(ValueError, match="^test takes more than 575 steps$"):
+        with digits.metered(575, "test"):
+            shift_subtract_table(-6, 4, 100)
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 10])
+def test_partition_cost_counts_the_multiply_adds_of_the_build(b):
+    # the build's loop, counted: each level scans the table, computes its
+    # weights and multiply-adds each weight into each nonzero entry that
+    # it meets.  The cost charges every weight against every entry that
+    # may be nonzero (entry 0 at the first level, then the multiples of
+    # its step), which is at most twice the multiply-adds those make
+    from barybinom.classic import classic_cost
+
+    for n in (-1, -(b - 1), -b, -(b + 1), -(b**3 - 1), -(2 * b**2 + 1), -200):
+        for size in (64, 128, 200):
+            made = bound = extra = 0
+            cur, low = [1] + [0] * (size - 1), 0
+            for l, d in enumerate(to_digits(n, b)):
+                step = b**l
+                if step >= size:
+                    break
+                if not d:
+                    continue
+                top = (size - 1) // step
+                extra += size + (top + 1) * classic_cost(d, top)
+                bound += sum((size - 1 - r) // step + 1 for r in range(0, size, low or size))
+                new = [0] * size
+                for r, c in enumerate(cur):
+                    if c:
+                        for j in range((size - 1 - r) // step + 1):
+                            made += 1
+                            new[r + j * step] += c * classic_binom(d, j)
+                cur, low = new, low or step
+            cost = bary._value_table_cost(n, b, size)
+            assert tuple(cur) == bary._value_table(n, b, size)
+            assert made + extra <= bound + extra <= cost <= 2 * bound + extra, (n, b, size)

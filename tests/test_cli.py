@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from barybinom import altdefs, bary, identities, partitions
+from barybinom import altdefs, bary, digits, identities, partitions
 from barybinom.altdefs import dstar_binom, star_binom
 from barybinom.bary import Method, bary_binom
 from barybinom.cli import MAX_WITNESS_LINES, main
@@ -165,12 +165,14 @@ def test_verify_bounds_past_the_row_limit_exit_two_before_any_suite(capsys, monk
     assert calls == [(19, 9)]
 
 
-def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, monkeypatch):
-    # a suite refuses bounds whose work passes the budget at any base (or
-    # prime) it would sweep: the given one, else each of the check's
-    # default tuple, with the bounds not given read off the check's
-    # defaults; the budget is patched small so no huge sweep ever runs here
-    monkeypatch.setattr(identities, "WORK_BUDGET", 8000)
+def test_verify_aggregation_past_its_budget_exits_two_with_nothing_on_stdout(capsys, monkeypatch):
+    # each suite runs under a meter of WORK_BUDGET steps for each base (or
+    # prime) it sweeps: the given one, else each of the check's default
+    # tuple, with the bounds not given read off the check's defaults.  A
+    # refused suite stops where its charges pass the budget, and verify
+    # prints nothing, nor runs a later suite.  The budget is patched small
+    # so no huge sweep ever runs here
+    monkeypatch.setattr(digits, "WORK_BUDGET", 6500)
     calls = []
     for name, spec in list(identities.SUITES.items()):
 
@@ -180,60 +182,60 @@ def test_verify_aggregation_past_its_budget_exits_two_before_any_suite(capsys, m
             return _real(*args, **kwargs)
 
         monkeypatch.setitem(identities.SUITES, name, dataclasses.replace(spec, func=recording))
-    for suite, bounds, (name, axis, at, given) in (
-        # passes at bases 2 to 5 of the default tuple and not at 6
-        ("aggregation", ("--nmax", "46"), ("aggregation", "base", 6, {"n_max": 46})),
-        ("all", ("--nmax", "21"), ("symmetry", "base", 2, {"n_max": 21, "k_max": 120})),
-        ("chu-neg", ("--nmax", "6", "--kmax", "5"), ("chu-neg", "base", 2, {"n_max": 6, "k_max": 5})),
-        ("chu-neg", ("--kmax", "3"), ("chu-neg", "base", 2, {"n_max": 60, "k_max": 3})),
-        ("chu-mixed", ("--nmax", "6", "--kmax", "3"), ("chu-mixed", "base", 2, {"n_max": 6, "k_max": 3})),
-        ("chu-mixed", ("--kmax", "3"), ("chu-mixed", "base", 2, {"n_max": 60, "k_max": 3})),
-        ("lucas", ("--prime", "7", "--nmax", "30"), ("lucas", "prime", 7, {"n_max": 30, "k_max": 120})),
+    for suite, bounds, message in (
+        ("aggregation", ("--base", "2", "--nmax", "46"), "aggregation at base 2 with --nmax 46"),
+        ("all", ("--nmax", "21"), "symmetry at bases 2,3,4,5,6 with --nmax 21 --kmax 120"),
+        ("chu-neg", ("--base", "2", "--nmax", "8", "--kmax", "5"), "chu-neg at base 2 with --nmax 8 --kmax 5"),
+        ("chu-mixed", ("--base", "2", "--nmax", "6", "--kmax", "3"), "chu-mixed at base 2 with --nmax 6 --kmax 3"),
+        ("lucas", ("--prime", "7", "--nmax", "30"), "lucas at prime 7 with --nmax 30 --kmax 120"),
     ):
+        calls.clear()
         code, out, err = run(capsys, "verify", "--suite", suite, *bounds)
-        count = identities.SUITES[name].work(at, **given)
-        flags = " ".join(f"--{p.replace('_', '')} {v}" for p, v in given.items())
-        assert count > 8000 and (code, out) == (2, ""), (suite, bounds)
-        assert err == (
-            f"error: {flags} makes {name} take {count} steps at {axis} {at}, past the budget of 8000\n"
-        ), (suite, bounds)
-    assert calls == []
+        budget = 5 * 6500 if suite == "all" else 6500
+        assert (code, out) == (2, ""), (suite, bounds)
+        assert err == f"error: suite {message} takes more than {budget} steps\n", (suite, bounds)
+        assert calls == [message.split()[0]]
+    calls.clear()
     for suite, bounds in (
+        # base 2 alone would pass 6500 steps; the five bases share 32500
+        ("aggregation", ("--nmax", "46")),
         ("aggregation", ("--base", "3", "--nmax", "46")),
-        ("chu-neg", ("--base", "3", "--nmax", "6", "--kmax", "5")),
+        ("chu-neg", ("--base", "2", "--nmax", "6", "--kmax", "5")),
         ("chu-mixed", ("--base", "4", "--nmax", "6", "--kmax", "3")),
         ("symmetry", ("--base", "3", "--nmax", "3", "--kmax", "3")),
     ):
         code, out, _ = run(capsys, "verify", "--suite", suite, *bounds)
         assert code == 0 and out.splitlines()[1].endswith("PASS"), suite
-    assert calls == ["aggregation", "chu-neg", "chu-mixed", "symmetry"]
+    assert calls == ["aggregation", "aggregation", "chu-neg", "chu-mixed", "symmetry"]
 
 
 def test_registry_defaults_fit_the_work_budget():
+    # each suite at its defaults, one base (or prime) at a time
     for name, spec in identities.SUITES.items():
         params = inspect.signature(spec.func).parameters
         sweep = "bases" if "bases" in params else "primes"
-        defaults = {p: params[p].default for p in params if p != sweep}
         for value in params[sweep].default:
-            assert spec.work(value, **defaults) <= identities.WORK_BUDGET, (name, value)
+            with digits.metered(digits.WORK_BUDGET, name) as meter:
+                assert spec.func(**{sweep: (value,)}).passed, (name, value)
+            assert 0 < meter.spent <= digits.WORK_BUDGET, (name, value)
 
 
-# bounds that pass the row limit and that no suite's work form lets
-# through: each sweep was still running after 15 s or more before the
-# forms counted the base and the size of the values; a bound not given
-# is the check's default
+# bounds that pass the row limit and run past the budget: each sweep was
+# still running after 13 s or more before the meter (or the work forms
+# it replaced) stopped it; a bound not given is the check's default
 REFUSED = [
-    ("symmetry --base 3 --nmax 8 --kmax 20000", "base", 3, {"n_max": 8, "k_max": 20000}),
-    ("cross-oracle --base 3 --nmax 8 --kmax 20000", "base", 3, {"n_max": 8, "k_max": 20000}),
+    "symmetry --base 3 --nmax 8 --kmax 20000",
+    "cross-oracle --base 3 --nmax 8 --kmax 20000",
     *(
-        (f"{suite} --base 3 --nmax 100000 --kmax 100000", "base", 3, {"n_max": 100000, "k_max": 100000})
+        f"{suite} --base 3 --nmax 100000 --kmax 100000"
         for suite in ("pascal", "pascal-power", "star-pascal", "dstar-pascal")
     ),
-    ("prop33 --base 3 --nmax 100000", "base", 3, {"n_max": 100000, "k_max": 64}),
-    ("lucas --prime 3 --nmax 400000 --kmax 400000", "prime", 3, {"n_max": 400000, "k_max": 400000}),
-    ("chu-neg --base 1000 --nmax 199 --kmax 199", "base", 1000, {"n_max": 199, "k_max": 199}),
-    ("chu-mixed --base 1000 --nmax 187 --kmax 187", "base", 1000, {"n_max": 187, "k_max": 187}),
-    ("pascal --base 2000 --nmax 2000", "base", 2000, {"n_max": 2000, "k_max": 200}),
+    "prop33 --base 3 --nmax 100000",
+    "lucas --prime 3 --nmax 400000 --kmax 400000",
+    "chu-neg --base 1000 --nmax 199 --kmax 199",
+    "chu-mixed --base 1000 --nmax 187 --kmax 187",
+    "pascal --base 2000 --nmax 2000",
+    "aggregation --base 100000 --nmax 1000",
 ]
 # bounds whose sweep takes a fraction of a second
 ACCEPTED = [
@@ -244,48 +246,77 @@ ACCEPTED = [
     "star-pascal --base 2 --nmax 2000",
     "dstar-pascal --base 2 --nmax 2000",
     "prop33 --base 2 --nmax 512",
+    "lucas --prime 1000000007 --nmax 2 --kmax 2",
+    "star-pascal --base 1000 --nmax 200 --kmax 200",
+    "chu-mixed --base 2 --nmax 200",
+    "dstar-pascal --base 100000 --nmax 200 --kmax 200",
 ]
 
 
-def _stand_in_suites(monkeypatch, check):
-    # every suite's check replaced by check(name), its work form kept
-    for name, spec in list(identities.SUITES.items()):
-        func = functools.wraps(spec.func)(check(name))
-        monkeypatch.setitem(identities.SUITES, name, dataclasses.replace(spec, func=func))
-
-
-def test_verify_refuses_work_past_the_budget_at_the_swept_base(capsys, monkeypatch):
-    def check(name):
-        def refused(*args, **kwargs):
-            raise AssertionError(f"suite {name} ran")
-
-        return refused
-
-    _stand_in_suites(monkeypatch, check)
-    for argv, axis, at, given in REFUSED:
-        name = argv.split()[0]
+def test_verify_refuses_work_past_the_budget_at_the_swept_base(capsys):
+    # the real checks at the real budget, each stopped after about a
+    # budget's worth of work
+    for argv in REFUSED:
+        name, option, at, *given = argv.split()
+        params = inspect.signature(identities.SUITES[name].func).parameters
+        bounds = dict(zip(given[::2], given[1::2]))
+        flags = " ".join(
+            f"--{o} {bounds.get(f'--{o}', params[p].default)}"
+            for o, p in (("nmax", "n_max"), ("kmax", "k_max"))
+            if p in params
+        )
         code, out, err = run(capsys, "verify", "--suite", *argv.split())
-        count = identities.SUITES[name].work(at, **given)
-        flags = " ".join(f"--{p.replace('_', '')} {v}" for p, v in given.items())
         assert (code, out) == (2, ""), argv
         assert err == (
-            f"error: {flags} makes {name} take {count} steps at {axis} {at},"
-            f" past the budget of {identities.WORK_BUDGET}\n"
+            f"error: suite {name} at {option[2:]} {at} with {flags}"
+            f" takes more than {digits.WORK_BUDGET} steps\n"
         ), argv
 
 
-def test_verify_accepts_sweeps_of_a_fraction_of_a_second(capsys, monkeypatch):
-    def check(name):
-        def passing(*args, **kwargs):
-            return IdentityReport(name, "stand-in", 1)
-
-        return passing
-
-    _stand_in_suites(monkeypatch, check)
+def test_verify_accepts_sweeps_of_a_fraction_of_a_second(capsys):
     for argv in ACCEPTED:
         code, out, err = run(capsys, "verify", "--suite", *argv.split())
         assert (code, err) == (0, ""), argv
         assert out.splitlines()[1].endswith("\tPASS"), argv
+
+
+def test_verify_budget_is_shared_by_the_bases_swept(capsys, monkeypatch):
+    # each suite replaced by a stand-in that charges the given steps at
+    # every base it sweeps: a suite's meter holds WORK_BUDGET per base
+    def stand_in(name, steps):
+        def check(bases=(2, 3), n_max=1, k_max=1):
+            for _ in bases:
+                digits.meter.charge(steps)
+            return IdentityReport(name, "stand-in", 1)
+
+        return check
+
+    for steps, code in ((digits.WORK_BUDGET, 0), (digits.WORK_BUDGET + 1, 2)):
+        monkeypatch.setitem(identities.SUITES, "symmetry", SuiteSpec(stand_in("symmetry", steps)))
+        for bounds in ((), ("--base", "7")):
+            got, out, err = run(capsys, "verify", "--suite", "symmetry", *bounds)
+            assert got == code, (steps, bounds)
+            if code:
+                at = "base 7" if bounds else "bases 2,3"
+                budget = digits.WORK_BUDGET * (1 if bounds else 2)
+                message = f"suite symmetry at {at} with --nmax 1 --kmax 1"
+                assert (out, err) == ("", f"error: {message} takes more than {budget} steps\n")
+
+
+def test_binom_and_expand_past_the_budget_exit_two(capsys):
+    # one budget per command: an oracle query past it is refused where
+    # AUTO answers the same query
+    argv = ("binom", "--base", "3", "--n", "-8", "--k", "20000")
+    code, out, err = run(capsys, *argv, "--method", "partition")
+    assert (code, out) == (2, "")
+    assert err == "error: binom --base 3 --n -8 --k 20000 takes more than 10000000 steps\n"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, f"{bary_binom(-8, 20000, 3)}\n", "")
+    # the kernel's 1000 passes over 10**4 entries and one more
+    argv = ("expand", "--base", "1000", "--n", "-999", "--at", "zero", "--order", "10000")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: expand --base 1000 --n -999 --order 10000 takes more than 10000000 steps\n"
 
 
 def test_table_reproduces_first_rows(capsys, table1):
@@ -365,10 +396,7 @@ def test_verify_reports_failures_with_witnesses(capsys, monkeypatch):
     def broken(bases=(2,), n_max=1, k_max=1):
         return IdentityReport("always-fail", f"b in {bases[0]}", 40, witnesses)
 
-    # a form that counts the stand-in's 40 cases
-    monkeypatch.setitem(
-        identities.SUITES, "always-fail", SuiteSpec(broken, lambda b, n_max, k_max: 40)
-    )
+    monkeypatch.setitem(identities.SUITES, "always-fail", SuiteSpec(broken))
     code, out, err = run(capsys, "verify", "--suite", "always-fail")
     assert code == 1
     assert out.splitlines()[1].split("\t")[-1] == "FAIL"
@@ -393,6 +421,11 @@ def test_usage_errors_exit_with_two(capsys):
         ("binom", "--base", "4", "--n", "-6", "--k", "-1000000000000", "--method", "series"),
         ("expand", "--base", "4", "--n", "-6", "--at", "zero", "--order", "1000000000000"),
         ("table", "--kind", "pascal-defect", "--nmax", "1001", "--kmax", "1000"),
+        # past the step budget: refused after at most one budget's work
+        ("binom", "--base", "1000", "--n", "-999999", "--k", "999999"),
+        ("binom", "--base", "3", "--n", "-8", "--k", "999999", "--method", "partition"),
+        ("expand", "--base", "1000", "--n", "-999999", "--at", "zero", "--order", "1000000"),
+        ("verify", "--suite", "lucas", "--prime", "1000000000000000003", "--nmax", "2", "--kmax", "2"),
         # options the chosen form never reads
         ("binom", "--base", "4", "--n", "-6", "--k", "7", "--variant", "star", "--method", "series"),
         ("table", "--kind", "table1", "--base", "3"),

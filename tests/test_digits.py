@@ -130,3 +130,28 @@ def test_digits_share_the_sign_of_n(n, b):
 def test_digit_sum_is_odd_under_negation(n, b):
     assert digit_sum(-n, b) == -digit_sum(n, b)
 
+
+
+def test_meter_refuses_past_its_budget_and_restores_the_outer_one():
+    assert digits.meter is None
+    with digits.metered(10, "outer") as outer:
+        outer.charge(10)  # exactly the budget is allowed
+        with pytest.raises(ValueError, match="^inner takes more than 3 steps$"):
+            with digits.metered(3, "inner") as inner:
+                inner.charge(2)
+                assert digits.meter is inner
+                digits.meter.charge(2)
+        assert digits.meter is outer and (outer.spent, inner.spent) == (10, 4)
+        with pytest.raises(ValueError, match="^outer takes more than 10 steps$"):
+            outer.charge(1)
+    assert digits.meter is None
+
+
+def test_digit_sum_table_charges_its_levels_before_building():
+    with digits.metered(10**9, "table") as meter:
+        digit_sum_table(999, 10)
+    # levels 0 and 1 write 1000 and 100 entries in 10 slices, the top 10
+    assert meter.spent == 1000 + 10 + 100 + 10 + 10
+    with pytest.raises(ValueError):
+        with digits.metered(meter.spent - 1, "table"):
+            digit_sum_table(999, 10)

@@ -2,7 +2,6 @@ import inspect
 from collections import Counter
 
 import pytest
-from math import prod
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -706,28 +705,23 @@ def test_suite_registry_names_every_sweep_once():
     st.integers(2, 7),
     st.integers(-1, 12),
     st.integers(-1, 16),
-    st.integers(0, 40),
 )
 @settings(max_examples=200, deadline=None)
-def test_work_counts_every_case_and_grows_with_each_bound(name, b, n_max, k_max, more):
+def test_meter_charges_every_case_and_ignores_the_cache(name, b, n_max, k_max):
+    # the steps charged are at least the cases checked and skipped, and
+    # depend on the request alone: the same with the table cache cleared
+    # and warm
     spec = SUITES[name]
     params = inspect.signature(spec.func).parameters
     sweep = "bases" if "bases" in params else "primes"
     if sweep == "primes":
         b = max(p for p in (2, 3, 5, 7) if p <= b)
     bounds = {p: v for p, v in (("n_max", n_max), ("k_max", k_max)) if p in params}
-    report = spec.func(**{sweep: (b,)}, **bounds)
-    work = spec.work(b, **bounds)
-    assert report.checked_count + report.skipped_count <= work
-    for p in bounds:
-        assert spec.work(b, **{**bounds, p: bounds[p] + more}) >= work, p
-
-
-def test_work_digit_counts_match_their_tables():
-    # the closed forms the work forms read instead of building tables
-    for b in range(2, 9):
-        for top in range(300):
-            sums = digit_sum_table(top, b)
-            assert identities._digit_sums(top, b) == (sum(sums), max(sums)), (top, b)
-            pairs = sum(prod(d + 1 for d in to_digits(s, b)) for s in range(top + 1))
-            assert identities._carry_free(top, b) == pairs, (top, b)
+    spent = []
+    for cleared in (True, False):
+        if cleared:
+            bary._cache.cache_clear()
+        with digits.metered(digits.WORK_BUDGET, name) as meter:
+            report = spec.func(**{sweep: (b,)}, **bounds)
+        spent.append(meter.spent)
+    assert report.checked_count + report.skipped_count <= spent[0] == spent[1]
