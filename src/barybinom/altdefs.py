@@ -45,7 +45,10 @@ def dstar_binom(n: int, k: int, b: int) -> int:
     and of classic_binom(n_l, -j_l) with each j_l >= |n_l| for k < 0.
     """
     _check_args(n, b)
-    return classic_binom(digit_sum(n, b), digit_sum(k, b))
+    s, j = digit_sum(n, b), digit_sum(k, b)
+    if digits.meter is not None:
+        digits.meter.charge(classic_cost(s, j))
+    return classic_binom(s, j)
 
 
 def star_row(n: int, b: int, ks: Sequence[int]) -> list[int]:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from . import digits, series
 from .classic import classic_binom, classic_cost
-from .digits import MAX_TERMS, to_digits
+from .digits import MAX_TERMS, pair_length, to_digits
 from .series import ExpansionPoint, gf_expand, series_inverse
 
 # tables in the one cache: sweeps and row scans reuse a table in runs
@@ -90,8 +90,10 @@ def _digit_product(n: int, k: int, b: int) -> int:
     """
     if n >= 0 and not 0 <= k <= n:
         return 0  # polynomial support: no negative powers, degree n
-    sn = -1 if n < 0 else 1
-    sk = -1 if k < 0 else 1
+    if digits.meter is not None:  # every digit pair's classic_binom, first
+        size = pair_length(n, k, b)
+        digits.meter.charge(sum(map(classic_cost, to_digits(n, b, size), to_digits(k, b, size))))
+    sn, sk = (-1 if n < 0 else 1), (-1 if k < 0 else 1)
     m, j = abs(n), abs(k)
     prod = 1
     while m or j:

@@ -3,27 +3,25 @@
 Every check_* function sweeps an explicit finite domain, compares two
 rows at a time (the two sides of one identity over a list of k) with
 exact integer arithmetic, and returns an IdentityReport carrying any
-counterexample witnesses.  Every value is read a row at a time: the
-star and double-star values through altdefs.star_row and
-altdefs.dstar_row, and every other through bary.row, which for n >= 0
-builds the digit product one digit level at a time and for n < 0 reads
-one table, serving both sides, of one of bary_binom's three routes,
-named by its Method.  Which route each side reads is the point of a
-check:
+counterexample witnesses.  Values are read a row at a time: the star
+and double-star values through altdefs.star_row and altdefs.dstar_row,
+every other through bary.row, which for n >= 0 builds the digit product
+one digit level at a time and for n < 0 reads one table of one of
+bary_binom's three routes, named by its Method.  Which route each side
+reads is the point of a check:
 
 - pascal, pascal-power, prop33 and lucas: the shift-subtract kernel;
 - symmetry: the kernel against the partition sum at the mirror index;
 - cross-oracle: the series expansion against the partition sum;
-- chu-neg and chu-mixed: products of kernel tables against the kernel
-  on the zero side and the partition sum on the infinity side.
+- chu-neg and chu-mixed: exact products of packed tables against the
+  kernel on the zero sides and the partition sum on every infinity side.
 
 verify runs each suite under a step meter (digits.Meter), charged by the
 tables a check reads and by its own loops (compares, the chu packing and
-products, the math.comb rows, prop33's weight loop).  The defaults fit
-at every default base, and the whole registry runs in about a second.
-Digit sums are read off one digits.digit_sum_table per base: S_b(n) and
-S_b(k) in aggregation, and carry-freeness in the chu sweeps, since each
-carry in n + m lowers S_b(n + m) by b - 1.
+products, the math.comb rows, prop33's weight loop).  Digit sums are
+read off one digits.digit_sum_table per base: S_b(n) and S_b(k) in
+aggregation, and carry-freeness in the chu sweeps, since each carry in
+n + m lowers S_b(n + m) by b - 1.
 """
 
 from __future__ import annotations
@@ -104,23 +102,20 @@ class _Tally:
                 Witness(key + (k,) + tag, l, r) for k, l, r in zip(ks, lhs, rhs) if l != r
             ]
 
-    def compare_packed(self, key, ks, lhs, product, w, tag, reverse=False, size=None) -> None:
-        """compare for ks against slots 0..size-1 (size len(ks) by default)
-        of lhs and product, packed at width w (see _pack): one masked
-        compare, and only on a mismatch are both decoded and their last
-        len(ks) slots, reversed back with reverse, compared for witnesses."""
+    def compare_packed(self, key, ks, lhs, product, w, tag, size=None) -> None:
+        """compare for ks at the last len(ks) of slots 0..size-1 (size
+        len(ks) by default) of lhs and product, packed at width w (see
+        _pack): one masked compare, decoded only on a mismatch."""
         size = len(ks) if size is None else size
         _charge(size)
         if not (product - lhs) & ((1 << w * size) - 1):
             self.checked += len(ks)
             return
-        window = slice(size - len(ks), None)
-        lhs, rhs = (_unpack(v, w, size)[window][:: -1 if reverse else 1] for v in (lhs, product))
+        lhs, rhs = (_unpack(v, w, size)[size - len(ks) :] for v in (lhs, product))
         self.compare(key, ks, lhs, rhs, (tag,))
 
     def report(self, identity_id: str, domain: str) -> IdentityReport:
-        failures = tuple(self.failures)
-        return IdentityReport(identity_id, domain, self.checked, failures, self.skipped)
+        return IdentityReport(identity_id, domain, self.checked, tuple(self.failures), self.skipped)
 
 
 # each coefficient variant's row function, (n, b, ks) -> values
@@ -187,13 +182,7 @@ def check_pascal(
     The single input (n, k) = (1, 0), where the two one-sided
     expansions splice (see _pascal), is counted as skipped.
     """
-    t, ks = _Tally(), range(-k_max, k_max + 1)
-    for b in bases:
-        step = _pascal(t, "std", b, ks)
-        for n in range(1, n_max + 1):
-            if n % b:
-                step((b, n), n, 1)
-    return t.report("pascal", f"b in {_fmt(bases)}, n in [1,{n_max}] with b∤n, |k| <= {k_max}")
+    return _step_one("std", bases, n_max, k_max)
 
 
 def check_pascal_power(
@@ -266,30 +255,35 @@ def check_prop33(
 
 
 def _pack(c: Sequence[int], w: int) -> int:
-    """The polynomial with coefficients c evaluated at x = 2**w: slot i of
-    w bits holds c[i].  While every coefficient fits a signed slot, the
-    product of two packed lists is their packed product, and two agree
-    in slots 0..size-1 exactly when they agree modulo 2**(w*size)."""
-    return sum(x << w * i for i, x in enumerate(c))
+    """The polynomial c at x = 2**w, w a multiple of 8: slot i holds c[i],
+    written as w // 8 bytes biased by 2**(w-1), so packing is linear.
+    While every coefficient fits a signed slot, the product of two packed
+    lists is their packed product, and two agree in slots 0..size-1
+    exactly when they agree modulo 2**(w*size)."""
+    half, width = 1 << (w - 1), w // 8
+    data = b"".join([(x + half).to_bytes(width, "little") for x in c])
+    bias = half.to_bytes(width, "little") * len(c)  # half in every slot
+    return int.from_bytes(data, "little") - int.from_bytes(bias, "little")
 
 
 def _unpack(packed: int, w: int, size: int) -> list[int]:
     """Coefficients 0..size-1 of the polynomial packed at slot width w."""
-    half = 1 << (w - 1)
-    biased = packed + _pack([half] * size, w)  # every slot in [0, 2**w)
-    return [((biased >> w * i) & ((1 << w) - 1)) - half for i in range(size)]
+    half, step = 1 << (w - 1), w // 8
+    biased = packed - _pack([-half] * size, w)  # + half: slots 0..size-1 in [0, 2**w)
+    data = (biased & ((1 << w * size) - 1)).to_bytes(step * size, "little")
+    return [int.from_bytes(data[i : i + step], "little") - half for i in range(0, len(data), step)]
 
 
 def _pack_tables(*tables: dict[int, Sequence[int]]) -> int:
     """Pack one base's tables (maps from s to a coefficient list) in place
-    at one slot width w, and return w: the least width at which every
-    entry and every coefficient of a product of two lists, at most
-    top**2 * longest in magnitude, fits a signed slot.  Each list is
-    dropped as it is packed.  _pack's running sum makes L slots cost L + L * L * w // 4096 steps."""
-    top = max((abs(x) for t in tables for c in t.values() for x in c), default=0)
+    at the least w, a multiple of 8, at which every entry and product
+    coefficient of two lists (at most top**2 * longest) fits a signed
+    slot; return w.  Each list is dropped as packed, at 2 + w // 128
+    steps a slot (timed up to 8,000 bits)."""
+    top = max((max(max(c), -min(c)) for t in tables for c in t.values() if c), default=0)
     longest = max((len(c) for t in tables for c in t.values()), default=0)
-    w = (top * top * longest).bit_length() + 1
-    _charge(sum(len(c) + len(c) ** 2 * w // 4096 for t in tables for c in t.values()))
+    w = -(-((top * top * longest).bit_length() + 1) // 8) * 8
+    _charge(sum(len(c) for t in tables for c in t.values()) * (2 + w // 128))
     for t in tables:
         for s, c in t.items():
             t[s] = _pack(c, w)
@@ -356,38 +350,36 @@ def check_chu_mixed(
     whenever k < m.  In the second form of (1), terms with s < k + m
     vanish (the factor falls in the band where every value is 0).
 
-    Each sum is one exact product of packed tables (see _pack).  The
-    second form of (1) is a correlation: the product of the reversed
-    row d_n with the kernel table of -m, read at n - m - k, so it is
-    compared with the reversed row d_{n-m}.  (3) is the product of the
-    kernel table of -n with the reversed row d_m, read at slot
-    r = k - (n - m); its left side is the partition sum, so a kernel
-    fault cannot cancel against itself there.  Tables are packed once
-    per base, n_max kernel rows of max(n_max, k_max) + 1 entries,
-    partition rows of k_max + 1 (one per s, read on the infinity side),
-    the rows d_s and their reverses, and freed before the next base's.
+    Each sum is one exact product of packed tables (see _pack).  f_s is
+    palindromic: d_s is its own reverse, and slot r of the partition row
+    of -s is binom(-s, -s - r).  So the second form of (1) is d_n times
+    the partition row of -m, read at slot n - m - k against d_{n-m}, and
+    (2) and (3) share the product of the kernel table of -n with d_m,
+    read at slot k and r = k - (n - m): three products per split.  Every
+    infinity side reads the partition sum, so a kernel fault cannot
+    cancel against itself there.  Per base, n_max each of d_s, kernel
+    rows of max(n_max, k_max) + 1 entries and partition rows of
+    max(k_max, n_max - s) + 1 are packed once, and freed after it.
     """
     t, span, zero = _Tally(), max(n_max, k_max), range(max(k_max + 1, 0))
     for b in bases:
         pos = {s: row(s, b, range(s + 1)) for s in range(1, n_max + 1)}
-        rev = {s: r[::-1] for s, r in pos.items()}
         kernel = {s: row(-s, b, range(span + 1)) for s in pos}
-        at_inf = {s: row(-s, b, zero, Method.PARTITION) for s in pos}
-        w, sums = _pack_tables(kernel, at_inf, pos, rev), digit_sum_table(max(n_max, 0), b)
+        at_inf = {s: row(-s, b, range(max(k_max, n_max - s) + 1), Method.PARTITION) for s in pos}
+        w, sums = _pack_tables(kernel, at_inf, pos), digit_sum_table(max(n_max, 0), b)
         for n in range(2, n_max + 1):
             _charge(n - 1)  # the carry tests
             for m in range(1, n):
                 if sums[m] + sums[n - m] != sums[n]:  # m + (n - m) carries
                     t.skipped += 1
                     continue
-                key, ks = (b, n, m), range(n - m + 1)
+                key, ks, neg = (b, n, m), range(n - m + 1), _product(kernel[n], pos[m])
                 t.compare_packed(key, ks, pos[n - m], _product(pos[n], kernel[m]), w, "pos-j")
-                t.compare_packed(key, ks, rev[n - m], _product(rev[n], kernel[m]), w, "pos-s", True)
-                neg = _product(kernel[n], pos[m])
+                t.compare_packed(key, ks[::-1], pos[n - m], _product(pos[n], at_inf[m]), w, "pos-s")
                 t.compare_packed(key, zero, kernel[n - m], neg, w, "neg-zero")
                 inf = range(-(n - m), -(n - m) - len(zero), -1)
-                t.compare_packed(key, inf, at_inf[n - m], _product(kernel[n], rev[m]), w, "neg-inf")
-        del kernel, at_inf, pos, rev
+                t.compare_packed(key, inf, at_inf[n - m], neg, w, "neg-inf")
+        del kernel, at_inf, pos
     return t.report(
         "chu-mixed", f"b in {_fmt(bases)}, carry-free splits of n <= {n_max}, k <= {k_max}"
     )
@@ -433,27 +425,30 @@ def check_star_pascal(
 ) -> IdentityReport:
     """star(-n,k) + star(-n,k-1) = star(-n+1,k) for positive n, k with
     b∤n and b∤k."""
-    return _alt_pascal("star", bases, n_max, k_max)
+    return _step_one("star", bases, n_max, k_max)
 
 
 def check_dstar_pascal(
     bases: Iterable[int] = (2, 3, 4, 5, 6), n_max: int = 200, k_max: int = 200
 ) -> IdentityReport:
     """Same recurrence for the digit-sum coefficient."""
-    return _alt_pascal("dstar", bases, n_max, k_max)
+    return _step_one("dstar", bases, n_max, k_max)
 
 
-def _alt_pascal(variant, bases, n_max, k_max) -> IdentityReport:
-    # the step-one recurrence for a star variant at k in [1,k_max]
-    t = _Tally()
+def _step_one(variant: str, bases: Iterable[int], n_max: int, k_max: int) -> IdentityReport:
+    """The step-one recurrence (see _pascal) at every n in [1, n_max] with
+    b∤n: std over |k| <= k_max, a star variant over k in [1, k_max] with b∤k."""
+    t, std = _Tally(), variant == "std"
     for b in bases:
-        ks = [k for k in range(1, k_max + 1) if k % b]
+        ks = range(-k_max, k_max + 1) if std else [k for k in range(1, k_max + 1) if k % b]
         step = _pascal(t, variant, b, ks)
         for n in range(1, n_max + 1):
             if n % b:
                 step((b, n), n, 1)
-    domain = f"b in {_fmt(bases)}, n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k"
-    return t.report(f"{variant}-pascal", domain)
+    name, domain = f"{variant}-pascal", f"n,k in [1,{n_max}]x[1,{k_max}] with b∤n, b∤k"
+    if std:
+        name, domain = "pascal", f"n in [1,{n_max}] with b∤n, |k| <= {k_max}"
+    return t.report(name, f"b in {_fmt(bases)}, {domain}")
 
 
 def check_cross_oracle(

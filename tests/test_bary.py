@@ -403,9 +403,40 @@ def test_costs_are_computed_only_while_a_meter_is_open(monkeypatch):
         assert bary.row(-6, 4, [7, -8], method) == [-4, 3]
     assert bary.row(6, 4, [1]) == [2]
     assert (star_row(-6, 4, [7]), dstar_row(-6, 4, [7])) == ([4], [15])
+    assert (bary_binom(6, 1, 4), star_binom(-6, 7, 4), dstar_binom(-6, 7, 4)) == (2, 4, 15)
     with pytest.raises(AssertionError):
         with digits.metered(10**9, "test"):
             bary.row(-6, 4, [7])
+
+
+@pytest.mark.parametrize(
+    "point, pairs",
+    [
+        # the digit pairs, padded to the longer expansion (6 = (2, 1)_4)
+        (lambda: bary_binom(6, 1, 4), [(2, 1), (1, 0)]),
+        (lambda: star_binom(-6, 7, 4), [(-2, 3), (-1, 1)]),
+        (lambda: star_binom(-6, -20, 4), [(-2, 0), (-1, -1), (0, -1)]),
+        # (S_4(-6), S_4(7))
+        (lambda: dstar_binom(-6, 7, 4), [(-3, 4)]),
+    ],
+)
+def test_point_paths_charge_each_classic_binom_before_computing_it(monkeypatch, point, pairs):
+    from barybinom.classic import classic_cost
+
+    with digits.metered(10**9, "test") as meter:
+        value = point()
+    assert meter.spent == sum(classic_cost(*pair) for pair in pairs)
+
+    def refused(*args):
+        raise AssertionError("a value was computed past the budget")
+
+    monkeypatch.setattr(bary, "classic_binom", refused)
+    monkeypatch.setattr(altdefs, "classic_binom", refused)
+    with pytest.raises(ValueError, match="^test takes more than"):
+        with digits.metered(meter.spent - 1, "test"):
+            point()
+    monkeypatch.undo()
+    assert point() == value
 
 
 def test_every_table_request_is_charged_whether_cached_or_not():

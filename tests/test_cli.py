@@ -250,6 +250,7 @@ ACCEPTED = [
     "star-pascal --base 1000 --nmax 200 --kmax 200",
     "chu-mixed --base 2 --nmax 200",
     "dstar-pascal --base 100000 --nmax 200 --kmax 200",
+    "chu-mixed --base 1000 --nmax 10 --kmax 5000",
 ]
 
 
@@ -426,6 +427,11 @@ def test_usage_errors_exit_with_two(capsys):
         ("binom", "--base", "3", "--n", "-8", "--k", "999999", "--method", "partition"),
         ("expand", "--base", "1000", "--n", "-999999", "--at", "zero", "--order", "1000000"),
         ("verify", "--suite", "lucas", "--prime", "1000000000000000003", "--nmax", "2", "--kmax", "2"),
+        # the digit product and the digit-sum coefficient, one math.comb
+        # of a 10**8-sized digit each
+        ("binom", "--base", "100000000", "--n", "99999999", "--k", "49999999"),
+        ("binom", "--base", "100000000", "--n", "-99999999", "--k", "49999999", "--variant", "star"),
+        ("binom", "--base", "100000000", "--n", "-99999999", "--k", "49999999", "--variant", "dstar"),
         # options the chosen form never reads
         ("binom", "--base", "4", "--n", "-6", "--k", "7", "--variant", "star", "--method", "series"),
         ("table", "--kind", "table1", "--base", "3"),

@@ -1,4 +1,5 @@
 import inspect
+import random
 from collections import Counter
 
 import pytest
@@ -202,6 +203,30 @@ def test_one_wrong_partition_entry_shows_exactly_where_the_partition_sum_is_read
         assert sweep().passed
 
 
+def test_the_second_form_of_the_first_mixed_convolution_reads_the_partition_sum(monkeypatch):
+    # binom(-m, k - s) at k - s < 0 is read on the infinity side: one
+    # wrong entry of the partition table of -1 shows in pos-s (m = 1)
+    # and neg-inf (n - m = 1), and in no branch that reads the kernel
+    real = bary.partition_value_table
+
+    def faulty(n, b, limit):
+        table = real(n, b, limit)
+        if (n, b) == (-1, 3):
+            table = table[:2] + (table[2] + 1,) + table[3:]
+        return table
+
+    monkeypatch.setattr(bary, "partition_value_table", faulty)
+    failures = check_chu_mixed(bases=(3,), n_max=14, k_max=28).failures
+    assert {w.inputs[-1] for w in failures} == {"pos-s", "neg-inf"}
+    # the reference's s_form reads the same table: same witnesses, each
+    # at its own k (the sweep lists them from k = n - m down)
+    monkeypatch.setitem(globals(), "partition_value_table", faulty)
+    want = chu_mixed_reference((3,), 14, 28).failures
+    pos_s = [w for w in failures if w.inputs[-1] == "pos-s"]
+    assert sorted(pos_s, key=str) == sorted((w for w in want if w.inputs[-1] == "pos-s"), key=str)
+    assert {w.inputs[2] for w in pos_s} == {1}
+
+
 def test_one_wrong_series_coefficient_shows_only_in_cross_oracle(monkeypatch):
     real = bary.series_table
 
@@ -284,6 +309,13 @@ COEFFS = st.lists(
 )
 
 
+def seeded(length, bits, seed):
+    # length coefficients in [-2**bits, 2**bits]
+    rng = random.Random(seed)
+    return [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+
+
+@settings(deadline=None)
 @given(COEFFS, COEFFS, st.integers(0, 30))
 @example([], [1, 2], 3)
 @example([5], [-7], 1)
@@ -292,6 +324,14 @@ COEFFS = st.lists(
 @example([-(2**64)] * 5, [2**64] * 5, 9)
 @example([2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], 2)
 @example([1, 2, 3], [4, 5, 6], 0)
+# lists of up to 20,000 slots, at slot widths from 16 to about 1,000
+# bits: packing is linear in the slots, and the schoolbook product of a
+# long list by a short one is cheap; one-slot changes are tried at the
+# top slot below size only
+@example(seeded(20_000, 0, 1), seeded(5, 0, 2), 20_004)
+@example(seeded(19_999, 40, 3), seeded(12, 40, 4), 19_000)
+@example(seeded(20_000, 250, 5), seeded(3, 250, 6), 20_002)
+@example(seeded(5, 250, 7), seeded(20_000, 1, 8), 20_004)
 def test_packed_product_matches_the_schoolbook_product(a, b, size):
     # at the width _pack_tables picks, the product of two packed lists
     # decodes to the schoolbook product, and the masked compare flags a
@@ -311,7 +351,7 @@ def test_packed_product_matches_the_schoolbook_product(a, b, size):
         return [(v.inputs, v.lhs, v.rhs) for v in t.failures]
 
     assert witnesses(exact + [1]) == []
-    for i in range(size):
+    for i in range(size) if size <= 30 else (size - 1,):
         for delta in (1, -1, 2**70):
             changed = exact.copy()
             changed[i] += delta
@@ -363,11 +403,13 @@ def chu_mixed_reference(bases, n_max, k_max):
                     skipped += 1
                     continue
                 t_m = shift_subtract_table(-m, b, n)
+                # binom(-m, k - s) at k - s < 0: entry s - k - m of the partition sum
+                p_m = partition_value_table(-m, b, n)
                 d_m = [bary_binom(m, j, b) for j in range(m + 1)]
                 for k in range(n - m + 1):
                     lhs = bary_binom(n - m, k, b)
                     j_form = sum(d_n[k - j] * t_m[j] for j in range(k + 1))
-                    s_form = sum(d_n[s] * t_m[s - k - m] for s in range(k + m, n + 1))
+                    s_form = sum(d_n[s] * p_m[s - k - m] for s in range(k + m, n + 1))
                     checked += 2
                     if lhs != j_form:
                         failures.append(Witness((b, n, m, k, "pos-j"), lhs, j_form))
@@ -552,11 +594,11 @@ def test_the_series_oracle_does_not_read_the_kernel(monkeypatch):
 
 
 def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypatch):
-    # d_5 at base 3 with one wrong entry: its reverse is another list, so
-    # pos-s, which compares reversed rows, reports the fault at the k of
-    # the unreversed row; counts and witnesses frozen from the earlier
-    # sweeps that convolved each pair's lists one by one; d_5 is read
-    # through bary.row, which builds it as one digit table
+    # d_5 at base 3 with one wrong entry is no longer its own reverse.
+    # chu-mixed reads d_s unreversed in every branch (as d_n, d_{n-m} or
+    # d_m), so each reports the fault; the palindrome itself is what
+    # symmetry checks for n >= 0, and it fails at n = 5 alone.  d_5 is
+    # read through bary.row, which builds it as one digit table
     real = bary._digit_table
 
     def faulty(n, b, top, *sign):
@@ -567,15 +609,24 @@ def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypa
 
     monkeypatch.setattr(bary, "_digit_table", faulty)
     failures = check_chu_mixed(bases=(3,), n_max=14, k_max=28).failures
-    branches = [w.inputs[-1] for w in failures]
-    assert {b: branches.count(b) for b in set(branches)} == {
-        "pos-j": 11, "pos-s": 3, "neg-zero": 56, "neg-inf": 50
-    }
-    assert [(w.inputs, w.lhs, w.rhs) for w in failures if w.inputs[-1] == "pos-s"] == [
-        ((3, 5, 1, 0, "pos-s"), 1, 2),
-        ((3, 8, 3, 1, "pos-s"), 3, 2),
-        ((3, 14, 9, 1, "pos-s"), 3, 2),
-    ]
+    assert {w.inputs[-1] for w in failures} == {"pos-j", "pos-s", "neg-zero", "neg-inf"}
+    failures = check_symmetry(bases=(3,), n_max=12, k_max=24).failures
+    assert [(w.inputs, w.lhs, w.rhs) for w in failures] == [((3, 5, 1), 3, 2), ((3, 5, 4), 2, 3)]
+
+
+def test_chu_mixed_makes_three_products_per_carry_free_split(monkeypatch):
+    # pos-j, pos-s, and one product shared by neg-zero and neg-inf
+    calls, real = [], identities._product
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(identities, "_product", counted)
+    r = check_chu_mixed(bases=(3,), n_max=14, k_max=28)
+    splits = [(n, m) for n in range(2, 15) for m in range(1, n) if carry_free_literal(m, n - m, 3)]
+    assert r.passed and r.skipped_count == 13 * 14 // 2 - len(splits)
+    assert len(calls) == 3 * len(splits) > 0
 
 
 def test_dstar_pascal_builds_each_row_once(monkeypatch):
