@@ -58,8 +58,7 @@ def star_row(n: int, b: int, ks: Sequence[int]) -> list[int]:
     a nonzero digit of k meets a zero digit of n, so every value is 0.
     """
     _check_args(n, b)
-    if digits.meter is not None:  # the read-out
-        digits.meter.charge(len(ks))
+    digits.charge(len(ks))  # the read-out
     top = b ** len(to_digits(n, b)) - 1
     hi, lo = max(ks, default=0), min(ks, default=0)
     pos = _digit_table(n, b, min(max(hi, 0), top))

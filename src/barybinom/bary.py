@@ -262,8 +262,7 @@ def row(n: int, base: int, ks: Sequence[int], method: Method = Method.AUTO) -> l
     """
     if (build := _TABLES.get(method)) is None:
         raise ValueError(f"unknown method {method!r}")
-    if digits.meter is not None:  # the read-out
-        digits.meter.charge(len(ks))
+    digits.charge(len(ks))  # the read-out
     if n >= 0:
         top = min(n, max(ks, default=-1))
         table = _digit_table(n, base, max(top, 0))

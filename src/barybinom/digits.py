@@ -43,6 +43,12 @@ class Meter:
             raise ValueError(f"{self.what} takes more than {self.budget} steps")
 
 
+def charge(steps: int) -> None:
+    """Charge the open meter, if any, steps steps."""
+    if meter is not None:
+        meter.charge(steps)
+
+
 @contextmanager
 def metered(budget: int, what: str) -> Iterator[Meter]:
     """A Meter of budget steps, open for the block."""
@@ -113,8 +119,8 @@ def digit_sum_table(top: int, b: int) -> list[int]:
         raise ValueError(f"top must be in [0, {MAX_TERMS}), got {top}")
     levels = len(to_digits(top, b))
     step = b ** (levels - 1)
-    if meter is not None:  # level l writes top // b**l + 1 entries in b slices
-        meter.charge(top // step + 1 + sum(top // b**l + 1 + b for l in range(levels - 1)))
+    # level l writes top // b**l + 1 entries in b slices
+    charge(top // step + 1 + sum(top // b**l + 1 + b for l in range(levels - 1)))
     t = list(range(top // step + 1))
     while step > 1:
         step //= b

@@ -18,7 +18,7 @@ reads is the point of a check:
 
 verify runs each suite under a step meter (digits.Meter), charged by the
 tables a check reads and by its own loops (compares, the chu packing and
-products, the math.comb rows, prop33's weight loop).  Digit sums are
+products, the math.comb rows, prop33's shift-add passes).  Digit sums are
 read off one digits.digit_sum_table per base: S_b(n) and S_b(k) in
 aggregation, and carry-freeness in the chu sweeps, since each carry in
 n + m lowers S_b(n + m) by b - 1.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from . import digits
@@ -40,16 +41,11 @@ from .digits import digit_sum_table, to_digits
 from .series import MAX_TERMS
 
 
-def _charge(steps: int) -> None:
-    if digits.meter is not None:
-        digits.meter.charge(steps)
-
-
 def _classic_row(n: int, ks: range) -> list[int]:
     """classic_binom(n, k) for k in the range ks, charged first and read
     past the cache (its __wrapped__), so that the cache keeps the
     digit-sized keys the sweeps share: lucas reads about 29,000 keys."""
-    _charge(len(ks) * classic_cost(n, max(-ks[0], ks[-1]) if ks else 0))
+    digits.charge(len(ks) * classic_cost(n, max(-ks[0], ks[-1]) if ks else 0))
     return list(map(classic_binom.__wrapped__, repeat(n, len(ks)), ks))
 
 
@@ -57,7 +53,7 @@ def _product(a: int, b: int) -> int:
     """a * b, charged first: (bits / 100) ** 1.5 steps at equal sizes, in
     proportion to the longer at unequal ones (timed up to 10**6 bits)."""
     low, high = sorted((a.bit_length(), b.bit_length()))
-    _charge((1 + high // 100) * isqrt(1 + low // 100))
+    digits.charge((1 + high // 100) * isqrt(1 + low // 100))
     return a * b
 
 
@@ -95,7 +91,7 @@ class _Tally:
         at ks[i], with a Witness(key + (k,) + tag, lhs, rhs) for each k
         where they differ.  Comparing the whole lists first keeps the
         all-equal case out of the interpreter loop."""
-        _charge(len(ks))
+        digits.charge(len(ks))
         self.checked += len(ks)
         if lhs != rhs:
             self.failures += [
@@ -107,7 +103,7 @@ class _Tally:
         len(ks) by default) of lhs and product, packed at width w (see
         _pack): one masked compare, decoded only on a mismatch."""
         size = len(ks) if size is None else size
-        _charge(size)
+        digits.charge(size)
         if not (product - lhs) & ((1 << w * size) - 1):
             self.checked += len(ks)
             return
@@ -148,7 +144,7 @@ def _pascal(t: _Tally, variant: str, b: int, ks: Sequence[int], reach: int = 1) 
         sub = [k for k in ks if k] if n == s and 0 in ks else ks
         t.skipped += len(ks) - len(sub)
         high, low = values(-n + s), values(-n)
-        _charge(2 * len(sub))  # the two sides' lists, built here
+        digits.charge(2 * len(sub))  # the two sides' lists, built here
         lhs = [low[k - lo] + low[k - s - lo] for k in sub]
         t.compare(key, sub, lhs, [high[k - lo] for k in sub])
 
@@ -164,6 +160,7 @@ def check_symmetry(
     side the partition table, one per n, at the mirror index, so the
     kernel is never compared with itself.
     """
+    bases = tuple(bases)
     t = _Tally()
     ks = range(-k_max, k_max + 1)
     for b in bases:
@@ -194,6 +191,7 @@ def check_pascal_power(
     Skips (n, k) = (b^s, 0) for the same branch-splice reason as the
     step-one recurrence: it is the s = 0 exception rescaled.
     """
+    bases = tuple(bases)
     t, ks = _Tally(), range(-k_max, k_max + 1)
     for b in bases:
         # the largest step is the largest power of b up to n_max
@@ -222,30 +220,27 @@ def check_prop33(
     term belongs to the sum: the weight series is the expansion of
     prod_{l=m}^{s-1} (1+x^{b^l})^{b-1}, whose constant term is 1.
     k_max is the width of the swept window past each branch point.
-    Each (n, m) reads one row of -n + b^m over every k - j, so one
-    table serves all of its shifts.
+    The sum is 1/f_{n-b^m} times that product, so each (n, m) reads one
+    kernel row of -n + b^m, size = b^s + k_max + 1 entries, and applies
+    the (b-1)(s-m) factors 1 + x^{b^l} in place, a shift-add pass of
+    size steps each.  The product is palindromic: slot k serves k >= 0,
+    slot b^s - n - k serves k <= -n + b^m.
     """
+    bases = tuple(bases)
     t = _Tally()
     for b in bases:
         for n in range(b, n_max + 1, b):
             s = next(i for i, d in enumerate(to_digits(n, b)) if d)
-            bs = b**s
+            bs, size = b**s, max(b**s + k_max + 1, 0)
             for m in range(s):
                 bm = b**m
                 ks = [*range(bs, bs + k_max + 1), *range(-n + bm - k_max, -n + bm + 1)]
-                # k - j for 0 <= j <= bs: the zero side's window reaches
-                # down to 0, the infinity side's down by bs
-                shifted = [*range(bs + k_max + 1), *range(-n + bm - k_max - bs, -n + bm + 1)]
-                at = dict(zip(shifted, row(-n + bm, b, shifted)))
-                rhs = [0] * len(ks)
-                js = range(0, bs + 1, bm)
-                weights, values = row(bs - bm, b, js), at.values()
-                # a multiply-add of an A-bit by a B-bit int: about A * B / 10**5 steps
-                bits = max(map(abs, weights)).bit_length() * max(map(abs, values)).bit_length()
-                _charge(len(js) * len(ks) * (1 + bits // 10**5))
-                for j, w in zip(js, weights):
-                    if w:
-                        rhs = [r + w * at[k - j] for r, k in zip(rhs, ks)]
+                product = row(-n + bm, b, range(size))
+                digits.charge((b - 1) * (s - m) * size)
+                for l in range(m, s):
+                    for _ in range(b - 1):  # the map is read in full before the write
+                        product[b**l :] = map(add, product[b**l :], product)
+                rhs = [product[k] if k >= 0 else product[bs - n - k] for k in ks]
                 t.compare((b, n, s, m), ks, row(-n + bs, b, ks), rhs)
     return t.report(
         "prop33",
@@ -283,7 +278,7 @@ def _pack_tables(*tables: dict[int, Sequence[int]]) -> int:
     top = max((max(max(c), -min(c)) for t in tables for c in t.values() if c), default=0)
     longest = max((len(c) for t in tables for c in t.values()), default=0)
     w = -(-((top * top * longest).bit_length() + 1) // 8) * 8
-    _charge(sum(len(c) for t in tables for c in t.values()) * (2 + w // 128))
+    digits.charge(sum(len(c) for t in tables for c in t.values()) * (2 + w // 128))
     for t in tables:
         for s, c in t.items():
             t[s] = _pack(c, w)
@@ -312,13 +307,14 @@ def check_chu_negative(
     (slot r of the partition row of -s is binom(-s, -s - r)), and freed
     before the next base's.
     """
+    bases = tuple(bases)
     t, size = _Tally(), max(k_max + 1, 0)
     for b in bases:
         kernel = {s: row(-s, b, range(size)) for s in range(1, n_max + 1)}
         at_inf = {s: row(-s, b, range(size), Method.PARTITION) for s in range(2, n_max + 1)}
         w, sums = _pack_tables(kernel, at_inf), digit_sum_table(max(n_max, 0), b)
         for n in range(1, n_max // 2 + 1):
-            _charge(n_max - 2 * n + 1)  # the carry tests
+            digits.charge(n_max - 2 * n + 1)  # the carry tests
             for m in range(n, n_max - n + 1):
                 if sums[n] + sums[m] != sums[n + m]:  # n + m carries
                     t.skipped += 1
@@ -361,6 +357,7 @@ def check_chu_mixed(
     rows of max(n_max, k_max) + 1 entries and partition rows of
     max(k_max, n_max - s) + 1 are packed once, and freed after it.
     """
+    bases = tuple(bases)
     t, span, zero = _Tally(), max(n_max, k_max), range(max(k_max + 1, 0))
     for b in bases:
         pos = {s: row(s, b, range(s + 1)) for s in range(1, n_max + 1)}
@@ -368,7 +365,7 @@ def check_chu_mixed(
         at_inf = {s: row(-s, b, range(max(k_max, n_max - s) + 1), Method.PARTITION) for s in pos}
         w, sums = _pack_tables(kernel, at_inf, pos), digit_sum_table(max(n_max, 0), b)
         for n in range(2, n_max + 1):
-            _charge(n - 1)  # the carry tests
+            digits.charge(n - 1)  # the carry tests
             for m in range(1, n):
                 if sums[m] + sums[n - m] != sums[n]:  # m + (n - m) carries
                     t.skipped += 1
@@ -390,6 +387,7 @@ def check_lucas(
 ) -> IdentityReport:
     """classic_binom(n,k) = binom(n,k)_p (mod p) over all four sign
     quadrants; residues compare in [0, p)."""
+    primes = tuple(primes)
     t = _Tally()
     ks = range(-k_max, k_max + 1)
     for p in primes:
@@ -406,6 +404,7 @@ def check_digit_sum_aggregation(
     S_b(k) = j, for positive n.  A nonzero binom(n,k)_b forces k's
     digits below n's, so no digit sum outside [0, S_b(n)] contributes.
     """
+    bases = tuple(bases)
     t = _Tally()
     for b in bases:
         digit_sums = digit_sum_table(max(n_max, 0), b)
@@ -438,6 +437,7 @@ def check_dstar_pascal(
 def _step_one(variant: str, bases: Iterable[int], n_max: int, k_max: int) -> IdentityReport:
     """The step-one recurrence (see _pascal) at every n in [1, n_max] with
     b∤n: std over |k| <= k_max, a star variant over k in [1, k_max] with b∤k."""
+    bases = tuple(bases)
     t, std = _Tally(), variant == "std"
     for b in bases:
         ks = range(-k_max, k_max + 1) if std else [k for k in range(1, k_max + 1) if k % b]
@@ -461,6 +461,7 @@ def check_cross_oracle(
     expansion at zero, of k_max + 1 terms, and one partition table;
     f_|n| is palindromic, so each serves both sides.
     """
+    bases = tuple(bases)
     t = _Tally()
     ks = range(-k_max, k_max + 1)
     for b in bases:

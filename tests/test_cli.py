@@ -251,6 +251,8 @@ ACCEPTED = [
     "chu-mixed --base 2 --nmax 200",
     "dstar-pascal --base 100000 --nmax 200 --kmax 200",
     "chu-mixed --base 1000 --nmax 10 --kmax 5000",
+    "prop33 --base 1000 --nmax 4000",
+    "prop33 --base 2 --nmax 5000",
 ]
 
 

@@ -147,6 +147,16 @@ def test_meter_refuses_past_its_budget_and_restores_the_outer_one():
     assert digits.meter is None
 
 
+def test_charge_reaches_the_open_meter_and_nothing_else():
+    digits.charge(10**100)  # no meter open: nothing to charge
+    with digits.metered(5, "outer") as outer:
+        with digits.metered(5, "inner") as inner:
+            digits.charge(5)
+        with pytest.raises(ValueError, match="^outer takes more than 5 steps$"):
+            digits.charge(6)
+    assert (outer.spent, inner.spent) == (6, 5)
+
+
 def test_digit_sum_table_charges_its_levels_before_building():
     with digits.metered(10**9, "table") as meter:
         digit_sum_table(999, 10)

@@ -115,9 +115,9 @@ def test_pascal_power_skips_one_point_per_power():
 
 
 def test_prop33_builds_one_kernel_table_per_shifted_row(monkeypatch):
-    # the right side reads binom(-n + b^m, k - j) for every weight j; one
-    # row per (n, m) covers every shift, where a row per j once built
-    # (-999, 10) at nine sizes.  The report is the one those rows gave.
+    # the right side is one row of -n + b^m, b^s + k_max + 1 entries long,
+    # times f_{b^s - b^m}: no weight j shifts it, so each shifted row's
+    # table is built once, (-999, 10) included
     builds = Counter()
     real = series._shift_subtract
 
@@ -134,6 +134,50 @@ def test_prop33_builds_one_kernel_table_per_shifted_row(monkeypatch):
     left = {-n + 10**s for n, s in zeros.items()}
     assert builds[-999, 10] == 1
     assert [key for key in shifted - left if builds[key, 10] != 1] == []
+
+
+def prop33_reference(bases, n_max, k_max):
+    """The paper's weighted sum for prop33, read point by point, with the
+    weights binom(b^s - b^m, j)_b, kept as an oracle."""
+    failures, checked = [], 0
+    for b in bases:
+        for n in range(b, n_max + 1, b):
+            s = next(i for i, d in enumerate(to_digits(n, b)) if d)
+            for m in range(s):
+                bs, bm = b**s, b**m
+                weights = [(j, bary_binom(bs - bm, j, b)) for j in range(0, bs + 1, bm)]
+                for k in [*range(bs, bs + k_max + 1), *range(-n + bm - k_max, -n + bm + 1)]:
+                    lhs = bary_binom(-n + bs, k, b)
+                    rhs = sum(w * bary_binom(-n + bm, k - j, b) for j, w in weights)
+                    checked += 1
+                    if lhs != rhs:
+                        failures.append(Witness((b, n, s, m, k), lhs, rhs))
+    return IdentityReport(
+        "prop33",
+        f"b in {','.join(map(str, bases))}, n multiples of b up to {n_max}, all (s,m), "
+        f"k windows of width {k_max}",
+        checked,
+        tuple(failures),
+    )
+
+
+# (-12, 3) is only ever a left row -n + b^s (n = 15, s = 1) and (-11, 3)
+# only a shifted row -n + b^m (n = 12, s = 1, m = 0) at n_max = 24
+@pytest.mark.parametrize("fault", [None, (-12, 3), (-11, 3)], ids=["exact", "left", "shifted"])
+def test_prop33_matches_the_weighted_sum(monkeypatch, fault):
+    real = bary.shift_subtract_table
+
+    def faulty(n, b, limit):
+        table = real(n, b, limit)
+        if (n, b) == fault:
+            table = table[:5] + (table[5] + 1,) + table[6:]
+        return table
+
+    monkeypatch.setattr(bary, "shift_subtract_table", faulty)
+    bases = (2, 3, 4)
+    report = check_prop33(bases, 24, 12)
+    assert report == prop33_reference(bases, 24, 12)
+    assert report.checked_count > 0 and report.passed is (fault is None)
 
 
 def test_chu_negative_counts_carrying_pairs_as_skipped():
@@ -749,6 +793,18 @@ def test_suite_registry_names_every_sweep_once():
         # verify reads the swept axis off the signature: exactly one
         params = inspect.signature(spec.func).parameters
         assert len({"bases", "primes"} & set(params)) == 1, name
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_a_one_shot_iterator_of_bases_reports_as_a_tuple_does(name):
+    # the domain string is written after the sweep has read the bases
+    func = SUITES[name].func
+    params = inspect.signature(func).parameters
+    sweep = "bases" if "bases" in params else "primes"
+    bounds = {p: 6 for p in ("n_max", "k_max") if p in params}
+    report = func(**{sweep: iter((2, 3))}, **bounds)
+    assert report == func(**{sweep: (2, 3)}, **bounds)
+    assert report.swept_domain.startswith(f"{sweep[0]} in 2,3,")
 
 
 @given(
