@@ -9,20 +9,25 @@ module caches and checks its tables.  Two independent algorithms stay
 as oracles for the negative-n case: generic series inversion of the
 generating product f_{|n|} expanded at zero (series route) and the
 restricted-partition sum over closed-form classic binomials (partition
-route).  They share nothing past the digit expansion, which is what
-makes the cross-oracle sweeps meaningful.
+route).  The partition sum takes one exact product per nonzero digit,
+by the digit's weight series packed into one integer (Kronecker
+substitution, by this module's own packing); it never divides by
+1 + x^(b^l).  The routes share nothing past the digit expansion, which
+is what makes the cross-oracle sweeps meaningful.
 f_{|n|} is palindromic, so each route builds one table per (n, b), and
 row reads values off it: entry r = k for k >= 0, r = n - k for k <= n.
 
 For n >= 0, row builds the digit product over a whole window one digit
 level at a time (_digit_table).
 
-The tables of every route share one lru_cache of CACHE_SIZE entries.
-Each is rounded up to a multiple of 64 terms, so nearby requests share
-one table, and none (digit-wise tables included) is longer than
-MAX_TERMS.  A table longer than 2 * MAX_TERMS // CACHE_SIZE terms is
-built for its one request and not cached, so the cache holds at most
-about 2 * MAX_TERMS entries.
+Tables are rounded up to a multiple of 64 terms, so nearby requests
+share one table, and none (digit-wise tables included) is longer than
+MAX_TERMS.  Partition tables of up to 2 * MAX_TERMS //
+PARTITION_CACHE_SIZE terms, which the verify suites share, have their
+own lru_cache of PARTITION_CACHE_SIZE entries.  Every other table shares
+one of CACHE_SIZE entries, save one longer than 2 * MAX_TERMS //
+CACHE_SIZE terms, built for its one request.  So each cache holds at
+most about 2 * MAX_TERMS entries.
 Each table request charges an open step meter (digits.Meter) first,
 cached or not, by the cost function beside its route's builder.
 """
@@ -31,19 +36,23 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from . import digits, series
 from .classic import classic_binom, classic_cost
-from .digits import MAX_TERMS, pair_length, to_digits
+from .digits import MAX_TERMS, digit_sum, pair_length, to_digits
 from .series import ExpansionPoint, gf_expand, series_inverse
 
-# tables in the one cache: sweeps and row scans reuse a table in runs
+# tables in the shared cache: sweeps and row scans reuse a table in runs
 # per (n, b), not across the whole process
 CACHE_SIZE = 32
 # the longest table the cache keeps: CACHE_SIZE of them are 2 * MAX_TERMS
 _CACHED_TERMS = 2 * MAX_TERMS // CACHE_SIZE
+# partition tables in their own cache: four verify suites read the same
+# 300, a base's 60 at a time, so they are kept for the whole run
+PARTITION_CACHE_SIZE = 512
+_PARTITION_TERMS = 2 * MAX_TERMS // PARTITION_CACHE_SIZE
 
 
 class Method(Enum):
@@ -131,21 +140,28 @@ def _digit_table(n: int, b: int, top: int, sign: int = 1) -> list[int]:
     return t
 
 
-# the one table cache, keyed by the route's builder
+# the table caches, keyed by the route's builder, each with the longest
+# table it keeps
 _cache = lru_cache(maxsize=CACHE_SIZE)(lambda build, n, base, size: build(n, base, size))
+_partition_cache = lru_cache(maxsize=PARTITION_CACHE_SIZE)(lambda build, n, base, size: build(n, base, size))
+_SHARED = ((_cache, _CACHED_TERMS),)
+_PARTITIONS = ((_partition_cache, _PARTITION_TERMS),) + _SHARED
 
 
-def _table(build, cost, n: int, base: int, limit: int) -> tuple[int, ...]:
+def _table(build, cost, n: int, base: int, limit: int, caches=_SHARED) -> tuple[int, ...]:
     # entries 0..limit need limit + 1 terms: refused past MAX_TERMS before
     # allocating, else rounded up to a multiple of 64 (as MAX_TERMS is),
-    # charged cost(n, base, size) steps whether cached or not, and cached
-    # only up to _CACHED_TERMS
+    # charged cost(n, base, size) steps whether cached or not, and kept in
+    # the first of caches whose longest table it fits, else in none
     if limit >= MAX_TERMS:
         raise ValueError(f"a table of {limit + 1} terms exceeds the limit of {MAX_TERMS}")
     size = max(64, -(-(limit + 1) // 64) * 64)
     if digits.meter is not None:
         digits.meter.charge(cost(n, base, size))
-    return _cache(build, n, base, size) if size <= _CACHED_TERMS else build(n, base, size)
+    for cache, longest in caches:
+        if size <= longest:
+            return cache(build, n, base, size)
+    return build(n, base, size)
 
 
 def shift_subtract_table(n: int, base: int, limit: int) -> tuple[int, ...]:
@@ -172,48 +188,81 @@ def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
     """
     if n >= 0:
         raise ValueError("partition tables are defined for n < 0 only")
-    return _table(_value_table, _value_table_cost, n, base, limit)
+    return _table(_value_table, _partition_cost, n, base, limit, _PARTITIONS)
 
 
 def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
-    # The sum over partition tuples is accumulated level by level: after
-    # processing digit position l, entry r holds the sum over all partial
-    # tuples (j_l, ..., j_0) with weighted sum r of the products of
-    # classic_binom factors.  Positions with digit 0 force j_l = 0 and
-    # are skipped.
-    cur = [0] * size
-    cur[0] = 1
-    for l, d in enumerate(to_digits(n, base)):
-        if d == 0:
-            continue
-        step = base**l
-        if step >= size:
-            break
-        weights = [classic_binom(d, i) for i in range((size - 1) // step + 1)]
-        new = [0] * size
-        for r, c in enumerate(cur):
-            if not c:
-                continue
-            for j in range((size - 1 - r) // step + 1):
-                w = weights[j]
-                if w:
-                    new[r + j * step] += w * c
-        cur = new
-    return tuple(cur)
+    # The partition sum prod_l W_l(x^(b^l)), W_l(y) = sum_i classic_binom(n_l,
+    # i) y^i, as one exact product per nonzero digit, from the top level
+    # down.  Before level l, table holds the product of the levels above
+    # as a series in y = x^(b^l), over the slots whose power of x is below
+    # size; the level multiplies it by W_l packed over those slots, masks
+    # it to them, and spreads the slots to stride b for the level below.
+    # Levels at b^l >= size, and zero digits, weigh 1.  Every partial
+    # product is 1/f of a part of |n|, so its entries, like the weights,
+    # fit one signed slot width w (_slot_width).
+    w = _slot_width(n, base, size)
+    half, width = 1 << (w - 1), w // 8
+    ds = to_digits(n, base)
+    levels = min(len(ds), len(to_digits(size - 1, base)))  # those with b^l < size
+    table = 1
+    for l in reversed(range(levels)):
+        slots = (size - 1) // base**l + 1
+        if ds[l]:
+            weights = [(classic_binom(ds[l], i) + half).to_bytes(width, "little") for i in range(slots)]
+            table = table * _packed(weights, w, 1) & ((1 << w * slots) - 1)
+        if l:
+            data = _biased(table, w, slots)
+            table = _packed([data[i : i + width] for i in range(0, len(data), width)], w, base)
+    data = _biased(table, w, size)
+    return tuple([int.from_bytes(data[i : i + width], "little") - half for i in range(0, len(data), width)])
 
 
-def _value_table_cost(n: int, base: int, size: int) -> int:
-    # per level: a scan, its weights, and each weight multiply-added into each
-    # entry that may be nonzero (entry 0 at the first level, then multiples of its step)
-    steps, nonzero = 0, 1
-    for l, d in enumerate(to_digits(n, base)):
-        top = (size - 1) // base**l
-        if not top:
-            break
-        if d:
-            steps += size + (top + 1) * (nonzero + classic_cost(d, top))
-            nonzero = max(nonzero, top + 1)
-    return steps
+def _packed(slots: list[bytes], w: int, stride: int) -> int:
+    # The polynomial with coefficient i at x^(i * stride), at x = 2**w:
+    # slots[i] is coefficient i as w // 8 little-endian bytes, biased by
+    # 2**(w-1), so packing is linear in the slots and never carries.
+    gap, bias = bytes(w // 8 * (stride - 1)), (1 << (w - 1)).to_bytes(w // 8, "little")
+    return int.from_bytes(gap.join(slots), "little") - int.from_bytes(gap.join([bias] * len(slots)), "little")
+
+
+def _biased(packed: int, w: int, slots: int) -> bytes:
+    # Coefficients 0..slots-1 of a polynomial packed at x = 2**w, each
+    # biased by 2**(w-1) into w // 8 little-endian bytes; exact while each
+    # fits a signed slot, whatever the coefficients past them.
+    bias = int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * slots, "little")
+    return ((packed + bias) & ((1 << w * slots) - 1)).to_bytes(w // 8 * slots, "little")
+
+
+def _slot_width(n: int, base: int, size: int) -> int:
+    # |[x^r] 1/f_m| <= [x^r] (1 - x)^-S = C(S + r - 1, r) for S = S_b(m),
+    # since each of the S factors 1/(1 + x^(b^l)) is bounded coefficient by
+    # coefficient by 1/(1 - x); at r = size - 1 that bounds every entry and
+    # weight.  Its bits and a sign bit, in whole bytes.
+    s = -digit_sum(n, base)
+    return (comb(s + size - 2, size - 1).bit_length() + 8) // 8 * 8
+
+
+def _partition_cost(n: int, base: int, size: int) -> int:
+    # The build's math.comb for the slot width is charged first, since the
+    # rest depends on w.  Then per level: its weights (classic_cost each),
+    # its slots packed, spread and decoded at 2 + w // 128 steps a slot
+    # (the rate of identities._pack_tables), and its product of two ints
+    # of w bits a slot (digits.product_cost), save the top nonzero
+    # level's, which multiplies 1.
+    s = -digit_sum(n, base)
+    digits.charge(classic_cost(s + size - 2, min(s, size) - 1))
+    w = _slot_width(n, base, size)
+    ds, rate = to_digits(n, base), 2 + w // 128
+    steps, products = size * rate, []
+    for l in range(min(len(ds), len(to_digits(size - 1, base)))):  # b^l < size
+        slots = (size - 1) // base**l + 1
+        if ds[l]:
+            steps += slots * (rate + classic_cost(ds[l], slots - 1))
+            products.append(digits.product_cost(w * slots, w * slots))
+        if l:
+            steps += slots * rate
+    return steps + sum(products[:-1])
 
 
 def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:

@@ -27,9 +27,11 @@ diagnostics to stderr.
 Everything is exact integer arithmetic serialized as decimal strings;
 identical invocations produce byte-identical output.  verify calls
 each selected suite's check once, in registry order, in one process.
-The tables behind the coefficients share one lru_cache of 32 entries
-that keeps no table longer than 2 * MAX_TERMS // 32 terms, and
-classic_binom has one of 2**12 entries.
+Partition tables of at most 2 * MAX_TERMS // 512 terms are kept in an
+lru_cache of 512 entries, so the suites of one verify run build each
+once; the other tables behind the coefficients share one lru_cache of
+32 entries that keeps no table longer than 2 * MAX_TERMS // 32 terms,
+and classic_binom has one of 2**12 entries.
 """
 
 from __future__ import annotations

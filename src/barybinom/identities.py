@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import isqrt
 from operator import add
 from typing import Callable, Iterable, Sequence
 
@@ -50,10 +49,8 @@ def _classic_row(n: int, ks: range) -> list[int]:
 
 
 def _product(a: int, b: int) -> int:
-    """a * b, charged first: (bits / 100) ** 1.5 steps at equal sizes, in
-    proportion to the longer at unequal ones (timed up to 10**6 bits)."""
-    low, high = sorted((a.bit_length(), b.bit_length()))
-    digits.charge((1 + high // 100) * isqrt(1 + low // 100))
+    """a * b, charged first (digits.product_cost)."""
+    digits.charge(digits.product_cost(a.bit_length(), b.bit_length()))
     return a * b
 
 

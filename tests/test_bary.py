@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from barybinom import altdefs, bary, digits
 from barybinom.altdefs import dstar_binom, dstar_row, star_binom, star_row
@@ -171,10 +171,14 @@ def test_requests_past_the_size_limit_raise_before_allocating():
 
 def test_caches_are_bounded():
     # one cache holds every route's tables, and none longer than
-    # 2 * MAX_TERMS // CACHE_SIZE terms, so at most about 2 * MAX_TERMS
+    # 2 * MAX_TERMS // CACHE_SIZE terms, so at most about 2 * MAX_TERMS;
+    # partition tables up to 2 * MAX_TERMS // PARTITION_CACHE_SIZE terms
+    # go to their own cache, with the same bound on its entries
     assert bary._cache.cache_info().maxsize == bary.CACHE_SIZE
+    assert bary._partition_cache.cache_info().maxsize == bary.PARTITION_CACHE_SIZE == 512
     longest = 2 * MAX_TERMS // bary.CACHE_SIZE
     bary._cache.cache_clear()
+    bary._partition_cache.cache_clear()
     short = shift_subtract_table(-3, 10, longest - 64)
     assert len(short) <= longest
     assert shift_subtract_table(-3, 10, longest - 64) is short
@@ -182,6 +186,17 @@ def test_caches_are_bounded():
     assert len(long) > longest
     assert shift_subtract_table(-3, 10, longest) is not long
     assert bary._cache.cache_info().currsize == 1
+    # 3906 terms: the longest partition table of its own cache is 3904
+    # (a multiple of 64); the next one goes to the shared cache
+    assert 2 * MAX_TERMS // bary.PARTITION_CACHE_SIZE == 3906
+    own = partition_value_table(-3, 10, 3903)
+    assert len(own) == 3904 and partition_value_table(-3, 10, 3903) is own
+    shared = partition_value_table(-3, 10, 3904)
+    assert len(shared) == 3968 and partition_value_table(-3, 10, 3904) is shared
+    long = partition_value_table(-3, 10, longest)
+    assert partition_value_table(-3, 10, longest) is not long
+    assert bary._partition_cache.cache_info().currsize == 1
+    assert bary._cache.cache_info().currsize == 2
 
 
 def test_value_tables_index_both_sides_of_the_support():
@@ -392,13 +407,14 @@ def test_costs_are_computed_only_while_a_meter_is_open(monkeypatch):
 
     for module, name in (
         (bary.series, "expand_cost"),
-        (bary, "_value_table_cost"),
+        (bary, "_partition_cost"),
         (bary, "_series_cost"),
         (bary, "classic_cost"),
         (altdefs, "classic_cost"),
     ):
         monkeypatch.setattr(module, name, refused)
     bary._cache.cache_clear()
+    bary._partition_cache.cache_clear()
     for method in NEG_METHODS:
         assert bary.row(-6, 4, [7, -8], method) == [-4, 3]
     assert bary.row(6, 4, [1]) == [2]
@@ -443,6 +459,7 @@ def test_every_table_request_is_charged_whether_cached_or_not():
     # the kernel's charge is sum over its levels l of (|n_l| + 1) *
     # ceil(size / b^l) and one pass over size; read-outs one step a k
     bary._cache.cache_clear()
+    bary._partition_cache.cache_clear()
     spent = []
     for _ in range(2):
         with digits.metered(10**9, "test") as meter:
@@ -454,35 +471,93 @@ def test_every_table_request_is_charged_whether_cached_or_not():
             shift_subtract_table(-6, 4, 100)
 
 
-@pytest.mark.parametrize("b", [2, 3, 4, 10])
-def test_partition_cost_counts_the_multiply_adds_of_the_build(b):
-    # the build's loop, counted: each level scans the table, computes its
-    # weights and multiply-adds each weight into each nonzero entry that
-    # it meets.  The cost charges every weight against every entry that
-    # may be nonzero (entry 0 at the first level, then the multiples of
-    # its step), which is at most twice the multiply-adds those make
-    from barybinom.classic import classic_cost
+@pytest.mark.parametrize("b", [2, 3, 4, 10, 1000])
+def test_partition_charge_depends_on_the_request_alone(b, monkeypatch):
+    # the same steps whether the table is built, read from its cache, or
+    # built by a builder of other entries: the slot width's math.comb,
+    # then _partition_cost
+    def charged(n, limit):
+        with digits.metered(10**12, "test") as meter:
+            partition_value_table(n, b, limit)
+        return meter.spent
 
-    for n in (-1, -(b - 1), -b, -(b + 1), -(b**3 - 1), -(2 * b**2 + 1), -200):
-        for size in (64, 128, 200):
-            made = bound = extra = 0
-            cur, low = [1] + [0] * (size - 1), 0
-            for l, d in enumerate(to_digits(n, b)):
-                step = b**l
-                if step >= size:
-                    break
-                if not d:
-                    continue
-                top = (size - 1) // step
-                extra += size + (top + 1) * classic_cost(d, top)
-                bound += sum((size - 1 - r) // step + 1 for r in range(0, size, low or size))
-                new = [0] * size
-                for r, c in enumerate(cur):
-                    if c:
-                        for j in range((size - 1 - r) // step + 1):
-                            made += 1
-                            new[r + j * step] += c * classic_binom(d, j)
-                cur, low = new, low or step
-            cost = bary._value_table_cost(n, b, size)
-            assert tuple(cur) == bary._value_table(n, b, size)
-            assert made + extra <= bound + extra <= cost <= 2 * bound + extra, (n, b, size)
+    def predicted(n, limit):
+        size = max(64, -(-(limit + 1) // 64) * 64)
+        with digits.metered(10**12, "test") as meter:
+            steps = bary._partition_cost(n, b, size)
+        return meter.spent + steps
+
+    keys = [(n, limit) for n in (-1, -(b - 1), -b, -(b + 1), -(b**3 - 1), -(2 * b**2 + 1), -200)
+            for limit in (0, 63, 127, 200, 900)]
+    bary._partition_cache.cache_clear()
+    built = [charged(*key) for key in keys]
+    assert [charged(*key) for key in keys] == built  # cached
+    assert built == [predicted(*key) for key in keys]
+    monkeypatch.setattr(bary, "_value_table", lambda n, base, size: (0,) * size)
+    bary._partition_cache.cache_clear()
+    assert [charged(*key) for key in keys] == built
+    bary._partition_cache.cache_clear()
+    # a longer table never costs less
+    for n, limit in keys:
+        assert predicted(n, limit) <= predicted(n, 2 * limit + 64)
+
+
+def schoolbook_value_table(n, b, size):
+    """The partition sum as a multiply-add loop: after digit position l,
+    entry r holds the sum over partial tuples (j_l, ..., j_0) of
+    weighted sum r of their products of classic_binom factors.
+    Positions with digit 0 force j_l = 0 and are skipped."""
+    cur = [0] * size
+    cur[0] = 1
+    for l, d in enumerate(to_digits(n, b)):
+        if d == 0:
+            continue
+        step = b**l
+        if step >= size:
+            break
+        weights = [classic_binom(d, i) for i in range((size - 1) // step + 1)]
+        new = [0] * size
+        for r, c in enumerate(cur):
+            if not c:
+                continue
+            for j in range((size - 1 - r) // step + 1):
+                w = weights[j]
+                if w:
+                    new[r + j * step] += w * c
+        cur = new
+    return tuple(cur)
+
+
+# the longest table drawn per base: the schoolbook loop is quadratic in
+# it at small bases, and at base 1000 past 1,000 terms a second level
+# makes the packed build one product of two full-length ints, of which
+# one has two nonzero slots (0.5 s at 1,088 terms)
+LONGEST = {2: 1024, 3: 1024, 7: 2048, 10: 4096, 1000: 1024}
+
+
+@st.composite
+def partition_keys(draw):
+    """(n, b, size): n = -1, n with every digit b - 1 (the widest slots),
+    or n with a zero digit below its top one, at 64 to 4,096 terms."""
+    b = draw(st.sampled_from(sorted(LONGEST)))
+    size = 64 * draw(st.integers(1, LONGEST[b] // 64))
+    places = draw(st.integers(2, 2 if b == 1000 else 5))
+    kind = draw(st.sampled_from(["one", "full", "zeros"]))
+    if kind == "one":
+        return -1, b, size
+    if kind == "full":
+        return -(b**places - 1), b, size
+    ds = draw(st.lists(st.integers(0, b - 1), min_size=places, max_size=places))
+    ds[draw(st.integers(0, places - 2))] = 0
+    ds[-1] = max(ds[-1], 1)
+    return -sum(d * b**l for l, d in enumerate(ds)), b, size
+
+
+@given(partition_keys())
+@settings(max_examples=40, deadline=None)
+@example((-(2**5 - 1), 2, 1024))
+@example((-(10**4 - 1), 10, 4096))
+@example((-(1000**2 - 1), 1000, 1024))
+@example((-1, 1000, 4096))
+def test_packed_partition_table_matches_the_schoolbook_sum(key):
+    assert bary._value_table(*key) == schoolbook_value_table(*key), key

@@ -185,8 +185,8 @@ def test_verify_aggregation_past_its_budget_exits_two_with_nothing_on_stdout(cap
     for suite, bounds, message in (
         ("aggregation", ("--base", "2", "--nmax", "46"), "aggregation at base 2 with --nmax 46"),
         ("all", ("--nmax", "21"), "symmetry at bases 2,3,4,5,6 with --nmax 21 --kmax 120"),
-        ("chu-neg", ("--base", "2", "--nmax", "8", "--kmax", "5"), "chu-neg at base 2 with --nmax 8 --kmax 5"),
-        ("chu-mixed", ("--base", "2", "--nmax", "6", "--kmax", "3"), "chu-mixed at base 2 with --nmax 6 --kmax 3"),
+        ("chu-neg", ("--base", "2", "--nmax", "11", "--kmax", "5"), "chu-neg at base 2 with --nmax 11 --kmax 5"),
+        ("chu-mixed", ("--base", "2", "--nmax", "9", "--kmax", "3"), "chu-mixed at base 2 with --nmax 9 --kmax 3"),
         ("lucas", ("--prime", "7", "--nmax", "30"), "lucas at prime 7 with --nmax 30 --kmax 120"),
     ):
         calls.clear()
@@ -224,8 +224,8 @@ def test_registry_defaults_fit_the_work_budget():
 # still running after 13 s or more before the meter (or the work forms
 # it replaced) stopped it; a bound not given is the check's default
 REFUSED = [
-    "symmetry --base 3 --nmax 8 --kmax 20000",
-    "cross-oracle --base 3 --nmax 8 --kmax 20000",
+    "symmetry --base 3 --nmax 8 --kmax 250000",
+    "cross-oracle --base 3 --nmax 8 --kmax 250000",
     *(
         f"{suite} --base 3 --nmax 100000 --kmax 100000"
         for suite in ("pascal", "pascal-power", "star-pascal", "dstar-pascal")
@@ -253,6 +253,8 @@ ACCEPTED = [
     "chu-mixed --base 1000 --nmax 10 --kmax 5000",
     "prop33 --base 1000 --nmax 4000",
     "prop33 --base 2 --nmax 5000",
+    "symmetry --base 3 --nmax 8 --kmax 20000",
+    "cross-oracle --base 3 --nmax 8 --kmax 20000",
 ]
 
 
@@ -274,6 +276,25 @@ def test_verify_refuses_work_past_the_budget_at_the_swept_base(capsys):
             f"error: suite {name} at {option[2:]} {at} with {flags}"
             f" takes more than {digits.WORK_BUDGET} steps\n"
         ), argv
+
+
+def test_verify_all_builds_each_partition_table_once(capsys, monkeypatch):
+    # symmetry, chu-neg, chu-mixed and cross-oracle read the same 300
+    # partition tables (n in [-60, -1] at bases 2..6, 128 terms each), and
+    # the partition cache keeps them for the whole run
+    builds = []
+    real = bary._value_table
+
+    def counted(n, b, size):
+        builds.append((n, b, size))
+        return real(n, b, size)
+
+    monkeypatch.setattr(bary, "_value_table", counted)
+    bary._partition_cache.cache_clear()
+    code, _, _ = run(capsys, "verify", "--suite", "all")
+    bary._partition_cache.cache_clear()
+    assert code == 0
+    assert sorted(builds) == sorted((-s, b, 128) for b in (2, 3, 4, 5, 6) for s in range(1, 61))
 
 
 def test_verify_accepts_sweeps_of_a_fraction_of_a_second(capsys):
@@ -308,11 +329,15 @@ def test_verify_budget_is_shared_by_the_bases_swept(capsys, monkeypatch):
 
 def test_binom_and_expand_past_the_budget_exit_two(capsys):
     # one budget per command: an oracle query past it is refused where
-    # AUTO answers the same query
-    argv = ("binom", "--base", "3", "--n", "-8", "--k", "20000")
+    # AUTO answers the same query; the partition sum's one product of
+    # 20,032 slots fits the budget, of 200,064 slots it does not
+    argv = ("binom", "--base", "3", "--n", "-8", "--k", "200000")
     code, out, err = run(capsys, *argv, "--method", "partition")
     assert (code, out) == (2, "")
-    assert err == "error: binom --base 3 --n -8 --k 20000 takes more than 10000000 steps\n"
+    assert err == "error: binom --base 3 --n -8 --k 200000 takes more than 10000000 steps\n"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, f"{bary_binom(-8, 200000, 3)}\n", "")
+    argv = ("binom", "--base", "3", "--n", "-8", "--k", "20000", "--method", "partition")
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, f"{bary_binom(-8, 20000, 3)}\n", "")
     # the kernel's 1000 passes over 10**4 entries and one more
@@ -427,6 +452,9 @@ def test_usage_errors_exit_with_two(capsys):
         # past the step budget: refused after at most one budget's work
         ("binom", "--base", "1000", "--n", "-999999", "--k", "999999"),
         ("binom", "--base", "3", "--n", "-8", "--k", "999999", "--method", "partition"),
+        # the partition sum's slot width alone, C(1999997, 999999), would
+        # take about 40 s: its math.comb is charged first
+        ("binom", "--base", "1000000", "--n", "-999999", "--k", "999999", "--method", "partition"),
         ("expand", "--base", "1000", "--n", "-999999", "--at", "zero", "--order", "1000000"),
         ("verify", "--suite", "lucas", "--prime", "1000000000000000003", "--nmax", "2", "--kmax", "2"),
         # the digit product and the digit-sum coefficient, one math.comb

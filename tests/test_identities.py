@@ -306,6 +306,24 @@ def test_sweeps_build_one_partition_table_and_one_expansion_per_n(monkeypatch):
     ]
 
 
+def test_symmetry_then_cross_oracle_build_each_partition_table_once(monkeypatch):
+    # both read the partition table of every n in [-10, -1] at base 3, of
+    # 64 terms; the partition cache keeps them between the two sweeps
+    builds = []
+    real = bary._value_table
+
+    def counted(n, b, size):
+        builds.append((n, b, size))
+        return real(n, b, size)
+
+    monkeypatch.setattr(bary, "_value_table", counted)
+    bary._partition_cache.cache_clear()
+    assert check_symmetry(bases=(3,), n_max=10, k_max=20).passed
+    assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
+    assert builds == [(n, 3, 64) for n in range(-10, 0)]
+    bary._partition_cache.cache_clear()
+
+
 @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
 def test_row_matches_the_point_route_of_its_source(method):
     # the partition route is defined for n < 0 only; every route's row
@@ -627,6 +645,7 @@ def test_the_series_oracle_does_not_read_the_kernel(monkeypatch):
 
     want = partition_value_table(-7, 3, 63)
     bary._cache.cache_clear()
+    bary._partition_cache.cache_clear()
     monkeypatch.setattr(series, "_shift_subtract", faulty)
     try:
         assert gf_expand(-7, 3, ExpansionPoint.AT_ZERO, 16).coeffs[5] == want[5] + 1
@@ -635,6 +654,7 @@ def test_the_series_oracle_does_not_read_the_kernel(monkeypatch):
         assert check_cross_oracle(bases=(3,), n_max=10, k_max=20).passed
     finally:
         bary._cache.cache_clear()
+        bary._partition_cache.cache_clear()
 
 
 def test_a_row_that_is_not_palindromic_shows_where_each_branch_reads_it(monkeypatch):
@@ -828,6 +848,7 @@ def test_meter_charges_every_case_and_ignores_the_cache(name, b, n_max, k_max):
     for cleared in (True, False):
         if cleared:
             bary._cache.cache_clear()
+            bary._partition_cache.cache_clear()
         with digits.metered(digits.WORK_BUDGET, name) as meter:
             report = spec.func(**{sweep: (b,)}, **bounds)
         spent.append(meter.spent)
