@@ -11,7 +11,7 @@ generating product f_{|n|} expanded at zero (series route) and the
 restricted-partition sum over closed-form classic binomials (partition
 route).  The partition sum takes one exact product per nonzero digit,
 by the digit's weight series packed into one integer (Kronecker
-substitution, by this module's own packing); it never divides by
+substitution, in digits' packed format); it never divides by
 1 + x^(b^l).  The routes share nothing past the digit expansion, which
 is what makes the cross-oracle sweeps meaningful.
 f_{|n|} is palindromic, so each route builds one table per (n, b), and
@@ -40,7 +40,7 @@ from math import comb, prod
 from typing import Sequence
 
 from . import digits, series
-from .classic import classic_binom, classic_cost
+from .classic import classic_binom, classic_cost, classic_row
 from .digits import MAX_TERMS, digit_sum, pair_length, to_digits
 from .series import ExpansionPoint, gf_expand, series_inverse
 
@@ -201,68 +201,49 @@ def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
     # Levels at b^l >= size, and zero digits, weigh 1.  Every partial
     # product is 1/f of a part of |n|, so its entries, like the weights,
     # fit one signed slot width w (_slot_width).
-    w = _slot_width(n, base, size)
-    half, width = 1 << (w - 1), w // 8
+    w, table = _slot_width(n, base, size), 1
+    for d, slots in _levels(n, base, size):
+        if d:
+            table = table * digits.pack(classic_row(d, range(slots)), w) & ((1 << w * slots) - 1)
+        if slots < size:  # every level but l = 0
+            table = digits.pack(digits.unpack(table, w, slots), w, base)
+    return tuple(digits.unpack(table, w, size))
+
+
+def _levels(n: int, base: int, size: int) -> list[tuple[int, int]]:
+    # (n_l, the slots of y = x^(b^l) below x^size) for each level l with
+    # b^l < size, top first: the levels _value_table multiplies and spreads
     ds = to_digits(n, base)
-    levels = min(len(ds), len(to_digits(size - 1, base)))  # those with b^l < size
-    table = 1
-    for l in reversed(range(levels)):
-        slots = (size - 1) // base**l + 1
-        if ds[l]:
-            weights = [(classic_binom(ds[l], i) + half).to_bytes(width, "little") for i in range(slots)]
-            table = table * _packed(weights, w, 1) & ((1 << w * slots) - 1)
-        if l:
-            data = _biased(table, w, slots)
-            table = _packed([data[i : i + width] for i in range(0, len(data), width)], w, base)
-    data = _biased(table, w, size)
-    return tuple([int.from_bytes(data[i : i + width], "little") - half for i in range(0, len(data), width)])
-
-
-def _packed(slots: list[bytes], w: int, stride: int) -> int:
-    # The polynomial with coefficient i at x^(i * stride), at x = 2**w:
-    # slots[i] is coefficient i as w // 8 little-endian bytes, biased by
-    # 2**(w-1), so packing is linear in the slots and never carries.
-    gap, bias = bytes(w // 8 * (stride - 1)), (1 << (w - 1)).to_bytes(w // 8, "little")
-    return int.from_bytes(gap.join(slots), "little") - int.from_bytes(gap.join([bias] * len(slots)), "little")
-
-
-def _biased(packed: int, w: int, slots: int) -> bytes:
-    # Coefficients 0..slots-1 of a polynomial packed at x = 2**w, each
-    # biased by 2**(w-1) into w // 8 little-endian bytes; exact while each
-    # fits a signed slot, whatever the coefficients past them.
-    bias = int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * slots, "little")
-    return ((packed + bias) & ((1 << w * slots) - 1)).to_bytes(w // 8 * slots, "little")
+    top = min(len(ds), len(to_digits(size - 1, base)))
+    return [(ds[l], (size - 1) // base**l + 1) for l in reversed(range(top))]
 
 
 def _slot_width(n: int, base: int, size: int) -> int:
     # |[x^r] 1/f_m| <= [x^r] (1 - x)^-S = C(S + r - 1, r) for S = S_b(m),
     # since each of the S factors 1/(1 + x^(b^l)) is bounded coefficient by
     # coefficient by 1/(1 - x); at r = size - 1 that bounds every entry and
-    # weight.  Its bits and a sign bit, in whole bytes.
+    # weight.
     s = -digit_sum(n, base)
-    return (comb(s + size - 2, size - 1).bit_length() + 8) // 8 * 8
+    return digits.slot_width(comb(s + size - 2, size - 1))
 
 
 def _partition_cost(n: int, base: int, size: int) -> int:
     # The build's math.comb for the slot width is charged first, since the
     # rest depends on w.  Then per level: its weights (classic_cost each),
-    # its slots packed, spread and decoded at 2 + w // 128 steps a slot
-    # (the rate of identities._pack_tables), and its product of two ints
-    # of w bits a slot (digits.product_cost), save the top nonzero
-    # level's, which multiplies 1.
+    # its slots packed, spread and decoded (digits.pack_cost), and its
+    # product of two ints of w bits a slot (digits.product_cost), save the
+    # top nonzero level's, which multiplies 1.
     s = -digit_sum(n, base)
     digits.charge(classic_cost(s + size - 2, min(s, size) - 1))
     w = _slot_width(n, base, size)
-    ds, rate = to_digits(n, base), 2 + w // 128
-    steps, products = size * rate, []
-    for l in range(min(len(ds), len(to_digits(size - 1, base)))):  # b^l < size
-        slots = (size - 1) // base**l + 1
-        if ds[l]:
-            steps += slots * (rate + classic_cost(ds[l], slots - 1))
+    steps, products = digits.pack_cost(size, w), []
+    for d, slots in _levels(n, base, size):
+        if d:
+            steps += digits.pack_cost(slots, w) + slots * classic_cost(d, slots - 1)
             products.append(digits.product_cost(w * slots, w * slots))
-        if l:
-            steps += slots * rate
-    return steps + sum(products[:-1])
+        if slots < size:
+            steps += digits.pack_cost(slots, w)
+    return steps + sum(products[1:])
 
 
 def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:

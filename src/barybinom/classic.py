@@ -7,15 +7,17 @@ binomial coefficients, so the function is total and exact.
 
 Values are cached in an lru_cache of CACHE_SIZE entries: enough for
 the digit-sized keys the sweeps share (one `verify --suite all` ends
-with about 2,100), and a bound for any other caller.  Callers with a
-one-off grid of keys, such as the lucas sweep, read past the cache
-through classic_binom.__wrapped__.  classic_cost is the step count a
-caller charges to the step meter (digits.Meter) for a run of values.
+with about 2,100), and a bound for any other caller.  A long or
+one-off run of keys, such as the lucas grid or a partition table's
+weights, is read past the cache by classic_row.  classic_cost is the
+step count a caller charges to the step meter (digits.Meter) for a run
+of values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 
 CACHE_SIZE = 2**12
@@ -41,6 +43,12 @@ def classic_binom(n: int, k: int) -> int:
     if k <= n:
         return (-1) ** ((n - k) & 1) * comb(-k - 1, n - k)
     return 0
+
+
+def classic_row(n: int, ks: range) -> list[int]:
+    """classic_binom(n, k) for k in the range ks, read past the cache (its
+    __wrapped__), which keeps the digit-sized keys the sweeps share."""
+    return list(map(classic_binom.__wrapped__, repeat(n, len(ks)), ks))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

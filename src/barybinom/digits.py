@@ -6,7 +6,10 @@ All digit-wise formulas in this package rely on that convention.
 Digits are plain tuples, least-significant first.  digit_sum_table
 gives S_b(j) for a whole range of j, built one digit level at a time.
 Beside MAX_TERMS, the bound on memory, sits the step meter, on time,
-with product_cost, its one rule for a big-integer product.
+with product_cost, its one rule for a big-integer product.  Beside that
+sits the one packed-polynomial format the partition oracle and the chu
+sweeps multiply in (Kronecker substitution): pack and unpack, with
+slot_width and pack_cost.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from math import isqrt
 from operator import add
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # The most terms one truncated expansion, one value table or one padded
 # digit tuple may need.  A request past it raises ValueError before
@@ -57,6 +60,38 @@ def product_cost(a_bits: int, b_bits: int) -> int:
     unequal ones (timed up to 10**6 bits)."""
     low, high = sorted((a_bits, b_bits))
     return (1 + high // 100) * isqrt(1 + low // 100)
+
+
+def slot_width(bound: int) -> int:
+    """A packed slot's width: the least multiple of 8 bits holding +-bound."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def pack(c: Sequence[int], w: int, stride: int = 1) -> int:
+    """The polynomial with c[i] at x^(i * stride), at x = 2**w: each slot
+    is w // 8 little-endian bytes biased by 2**(w-1), so packing is
+    linear in the slots.  While every coefficient fits a signed slot, the
+    product of two packed lists is their packed product, and two agree in
+    slots 0..size-1 exactly when they agree modulo 2**(w*size)."""
+    half, width = 1 << (w - 1), w // 8
+    gap = bytes(width * (stride - 1))
+    data = gap.join([(x + half).to_bytes(width, "little") for x in c])
+    bias = gap.join([half.to_bytes(width, "little")] * len(c))  # half in every slot
+    return int.from_bytes(data, "little") - int.from_bytes(bias, "little")
+
+
+def unpack(packed: int, w: int, size: int) -> list[int]:
+    """Coefficients 0..size-1 of the polynomial packed at slot width w;
+    exact while each fits a signed slot, whatever the slots past them."""
+    half, width = 1 << (w - 1), w // 8
+    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    data = ((packed + bias) & ((1 << w * size) - 1)).to_bytes(width * size, "little")
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, len(data), width)]
+
+
+def pack_cost(slots: int, w: int) -> int:
+    """Steps to pack or unpack slots slots of w bits (timed to 8,000 bits)."""
+    return slots * (2 + w // 128)
 
 
 @contextmanager

@@ -28,24 +28,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Sequence
 
 from . import digits
 from .altdefs import dstar_row, star_row
 from .bary import Method, row
-from .classic import classic_binom, classic_cost
+from .classic import classic_cost, classic_row
 from .digits import digit_sum_table, to_digits
 from .series import MAX_TERMS
 
 
 def _classic_row(n: int, ks: range) -> list[int]:
-    """classic_binom(n, k) for k in the range ks, charged first and read
-    past the cache (its __wrapped__), so that the cache keeps the
-    digit-sized keys the sweeps share: lucas reads about 29,000 keys."""
+    """classic_row(n, ks), charged first: lucas reads about 29,000 keys."""
     digits.charge(len(ks) * classic_cost(n, max(-ks[0], ks[-1]) if ks else 0))
-    return list(map(classic_binom.__wrapped__, repeat(n, len(ks)), ks))
+    return classic_row(n, ks)
 
 
 def _product(a: int, b: int) -> int:
@@ -98,13 +95,13 @@ class _Tally:
     def compare_packed(self, key, ks, lhs, product, w, tag, size=None) -> None:
         """compare for ks at the last len(ks) of slots 0..size-1 (size
         len(ks) by default) of lhs and product, packed at width w (see
-        _pack): one masked compare, decoded only on a mismatch."""
+        digits.pack): one masked compare, decoded only on a mismatch."""
         size = len(ks) if size is None else size
         digits.charge(size)
         if not (product - lhs) & ((1 << w * size) - 1):
             self.checked += len(ks)
             return
-        lhs, rhs = (_unpack(v, w, size)[size - len(ks) :] for v in (lhs, product))
+        lhs, rhs = (digits.unpack(v, w, size)[size - len(ks) :] for v in (lhs, product))
         self.compare(key, ks, lhs, rhs, (tag,))
 
     def report(self, identity_id: str, domain: str) -> IdentityReport:
@@ -246,39 +243,18 @@ def check_prop33(
     )
 
 
-def _pack(c: Sequence[int], w: int) -> int:
-    """The polynomial c at x = 2**w, w a multiple of 8: slot i holds c[i],
-    written as w // 8 bytes biased by 2**(w-1), so packing is linear.
-    While every coefficient fits a signed slot, the product of two packed
-    lists is their packed product, and two agree in slots 0..size-1
-    exactly when they agree modulo 2**(w*size)."""
-    half, width = 1 << (w - 1), w // 8
-    data = b"".join([(x + half).to_bytes(width, "little") for x in c])
-    bias = half.to_bytes(width, "little") * len(c)  # half in every slot
-    return int.from_bytes(data, "little") - int.from_bytes(bias, "little")
-
-
-def _unpack(packed: int, w: int, size: int) -> list[int]:
-    """Coefficients 0..size-1 of the polynomial packed at slot width w."""
-    half, step = 1 << (w - 1), w // 8
-    biased = packed - _pack([-half] * size, w)  # + half: slots 0..size-1 in [0, 2**w)
-    data = (biased & ((1 << w * size) - 1)).to_bytes(step * size, "little")
-    return [int.from_bytes(data[i : i + step], "little") - half for i in range(0, len(data), step)]
-
-
 def _pack_tables(*tables: dict[int, Sequence[int]]) -> int:
     """Pack one base's tables (maps from s to a coefficient list) in place
-    at the least w, a multiple of 8, at which every entry and product
-    coefficient of two lists (at most top**2 * longest) fits a signed
-    slot; return w.  Each list is dropped as packed, at 2 + w // 128
-    steps a slot (timed up to 8,000 bits)."""
+    at the slot width w that holds every entry and product coefficient
+    of two lists (at most top**2 * longest), charged by
+    digits.pack_cost; return w.  Each list is dropped as packed."""
     top = max((max(max(c), -min(c)) for t in tables for c in t.values() if c), default=0)
     longest = max((len(c) for t in tables for c in t.values()), default=0)
-    w = -(-((top * top * longest).bit_length() + 1) // 8) * 8
-    digits.charge(sum(len(c) for t in tables for c in t.values()) * (2 + w // 128))
+    w = digits.slot_width(top * top * longest)
+    digits.charge(digits.pack_cost(sum(len(c) for t in tables for c in t.values()), w))
     for t in tables:
         for s, c in t.items():
-            t[s] = _pack(c, w)
+            t[s] = digits.pack(c, w)
     return w
 
 
@@ -295,7 +271,7 @@ def check_chu_negative(
     symmetric in n and m); pairs that carry are counted as skipped.
 
     Both right-hand sides are one exact product of the packed kernel
-    tables of -n and -m (see _pack): f_n is palindromic, so the
+    tables of -n and -m (see digits.pack): f_n is palindromic, so the
     infinity-side sum is its slot r = k - n - m.  The zero side compares
     it with the kernel table of -(n+m) at every k >= 0, where it holds,
     and reports k >= m; the infinity side with the partition sum, so a
@@ -343,16 +319,16 @@ def check_chu_mixed(
     whenever k < m.  In the second form of (1), terms with s < k + m
     vanish (the factor falls in the band where every value is 0).
 
-    Each sum is one exact product of packed tables (see _pack).  f_s is
-    palindromic: d_s is its own reverse, and slot r of the partition row
-    of -s is binom(-s, -s - r).  So the second form of (1) is d_n times
-    the partition row of -m, read at slot n - m - k against d_{n-m}, and
-    (2) and (3) share the product of the kernel table of -n with d_m,
-    read at slot k and r = k - (n - m): three products per split.  Every
-    infinity side reads the partition sum, so a kernel fault cannot
-    cancel against itself there.  Per base, n_max each of d_s, kernel
-    rows of max(n_max, k_max) + 1 entries and partition rows of
-    max(k_max, n_max - s) + 1 are packed once, and freed after it.
+    Each sum is one exact product of packed tables (see digits.pack).
+    f_s is palindromic: d_s is its own reverse, and slot r of the
+    partition row of -s is binom(-s, -s - r).  So the second form of (1)
+    is d_n times the partition row of -m, read at slot n - m - k against
+    d_{n-m}, and (2) and (3) share the product of the kernel table of -n
+    with d_m, read at slot k and r = k - (n - m): three products per
+    split.  Every infinity side reads the partition sum, so a kernel
+    fault cannot cancel against itself there.  Per base, n_max each of
+    d_s, kernel rows of max(n_max, k_max) + 1 entries and partition rows
+    of max(k_max, n_max - s) + 1 are packed once, and freed after it.
     """
     bases = tuple(bases)
     t, span, zero = _Tally(), max(n_max, k_max), range(max(k_max + 1, 0))

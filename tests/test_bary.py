@@ -502,6 +502,29 @@ def test_partition_charge_depends_on_the_request_alone(b, monkeypatch):
         assert predicted(n, limit) <= predicted(n, 2 * limit + 64)
 
 
+def test_partition_builds_keep_their_charges_and_skip_the_classic_cache():
+    # each charge from partition_value_table(n, b, size - 1) under a
+    # meter; the weights are read past classic_binom's cache, so building
+    # leaves it as it was.  The two-digit key at base 1000, whose build
+    # takes 0.5 s, is checked by its cost alone.
+    pinned = {
+        (-(3**5 - 1), 3, 1024): 35_983,
+        (-999, 10, 512): 25_667,
+        (-1, 1000, 4096): 20_481,
+        (-600, 2, 2048): 10_462,
+    }
+    bary._partition_cache.cache_clear()
+    before = classic_binom.cache_info()
+    for (n, b, size), steps in pinned.items():
+        with digits.metered(10**12, "test") as meter:
+            partition_value_table(n, b, size - 1)
+        assert meter.spent == steps, (n, b, size)
+    assert classic_binom.cache_info() == before
+    with digits.metered(10**12, "test") as meter:
+        meter.charge(bary._partition_cost(-(1000**2 - 1), 1000, 1088))
+    assert meter.spent == 7_832_458
+
+
 def schoolbook_value_table(n, b, size):
     """The partition sum as a multiply-add loop: after digit position l,
     entry r holds the sum over partial tuples (j_l, ..., j_0) of

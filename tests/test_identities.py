@@ -324,6 +324,31 @@ def test_symmetry_then_cross_oracle_build_each_partition_table_once(monkeypatch)
     bary._partition_cache.cache_clear()
 
 
+def test_symmetry_and_cross_oracle_report_a_fault_in_the_shared_packer(monkeypatch):
+    # digits.pack also packs the chu tables, but of the three routes only
+    # the partition sum multiplies packed polynomials: a wrong slot 5
+    # corrupts the partition tables, which the kernel and the series
+    # route, which never pack, then disagree with
+    real = digits.pack
+
+    def faulty(c, w, stride=1):
+        c = list(c)
+        if len(c) > 5:
+            c[5] += 1
+        return real(c, w, stride)
+
+    monkeypatch.setattr(digits, "pack", faulty)
+    bary._cache.cache_clear()
+    bary._partition_cache.cache_clear()
+    for check in (check_symmetry, check_cross_oracle):
+        report = check(bases=(3,), n_max=10, k_max=20)
+        assert report.checked_count > 0 and len(report.failures) == 73, check
+    monkeypatch.undo()
+    bary._cache.cache_clear()
+    bary._partition_cache.cache_clear()
+    assert check_symmetry(bases=(3,), n_max=10, k_max=20).passed
+
+
 @pytest.mark.parametrize("method", Method, ids=lambda m: m.value)
 def test_row_matches_the_point_route_of_its_source(method):
     # the partition route is defined for n < 0 only; every route's row
@@ -378,31 +403,37 @@ def seeded(length, bits, seed):
 
 
 @settings(deadline=None)
-@given(COEFFS, COEFFS, st.integers(0, 30))
-@example([], [1, 2], 3)
-@example([5], [-7], 1)
-@example([0, 0, 0], [0, 0], 4)
-@example([0], [128], 1)
-@example([-(2**64)] * 5, [2**64] * 5, 9)
-@example([2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], 2)
-@example([1, 2, 3], [4, 5, 6], 0)
+@given(COEFFS, COEFFS, st.integers(0, 30), st.integers(1, 5))
+@example([], [1, 2], 3, 1)
+@example([5], [-7], 1, 1)
+@example([0, 0, 0], [0, 0], 4, 3)
+@example([0], [128], 1, 1)
+@example([-(2**64)] * 5, [2**64] * 5, 9, 2)
+@example([2**63 - 1, -(2**63)], [-(2**63), 2**63 - 1], 2, 5)
+@example([1, 2, 3], [4, 5, 6], 0, 1)
 # lists of up to 20,000 slots, at slot widths from 16 to about 1,000
 # bits: packing is linear in the slots, and the schoolbook product of a
 # long list by a short one is cheap; one-slot changes are tried at the
 # top slot below size only
-@example(seeded(20_000, 0, 1), seeded(5, 0, 2), 20_004)
-@example(seeded(19_999, 40, 3), seeded(12, 40, 4), 19_000)
-@example(seeded(20_000, 250, 5), seeded(3, 250, 6), 20_002)
-@example(seeded(5, 250, 7), seeded(20_000, 1, 8), 20_004)
-def test_packed_product_matches_the_schoolbook_product(a, b, size):
+@example(seeded(20_000, 0, 1), seeded(5, 0, 2), 20_004, 1)
+@example(seeded(19_999, 40, 3), seeded(12, 40, 4), 19_000, 3)
+@example(seeded(20_000, 250, 5), seeded(3, 250, 6), 20_002, 1)
+@example(seeded(5, 250, 7), seeded(20_000, 1, 8), 20_004, 2)
+def test_packed_product_matches_the_schoolbook_product(a, b, size, stride):
     # at the width _pack_tables picks, the product of two packed lists
-    # decodes to the schoolbook product, and the masked compare flags a
-    # change of one slot at every position below size and none above
+    # decodes to the schoolbook product, packing at a stride packs the
+    # list with stride - 1 zeros between entries, and the masked compare
+    # flags a change of one slot at every position below size and none
+    # above
+    assert (digits.slot_width(127), digits.slot_width(128)) == (8, 16)
     exact = schoolbook(a, b, size)
     packed = {0: a, 1: b}
     w = identities._pack_tables(packed)
-    assert packed == {0: identities._pack(a, w), 1: identities._pack(b, w)}
-    assert identities._unpack(packed[0] * packed[1], w, size) == exact
+    assert packed == {0: digits.pack(a, w), 1: digits.pack(b, w)}
+    assert digits.unpack(packed[0] * packed[1], w, size) == exact
+    spread = [x for v in a for x in [v] + [0] * (stride - 1)][: len(a) * stride - stride + 1]
+    assert digits.pack(a, w, stride) == digits.pack(spread, w)
+    assert digits.unpack(digits.pack(a, w, stride), w, len(spread)) == spread
 
     def witnesses(lhs):
         packed = {0: a, 1: b, 2: lhs}
