@@ -17,14 +17,7 @@ from .bary import Method, bary_binom
 from .classic import classic_binom
 from .digits import digit_sum, to_digits
 from .partitions import enumerate_partitions, enumerate_restricted
-from .series import (
-    ExpansionPoint,
-    LaurentSeries,
-    coefficient,
-    gf_expand,
-    series_inverse,
-    series_mul,
-)
+from .series import ExpansionPoint, LaurentSeries, gf_expand, series_inverse
 
 __version__ = "0.1.0"
 
@@ -34,14 +27,12 @@ __all__ = [
     "Method",
     "bary_binom",
     "classic_binom",
-    "coefficient",
     "digit_sum",
     "dstar_binom",
     "enumerate_partitions",
     "enumerate_restricted",
     "gf_expand",
     "series_inverse",
-    "series_mul",
     "star_binom",
     "to_digits",
 ]

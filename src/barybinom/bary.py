@@ -9,11 +9,11 @@ module caches and checks its tables.  Two independent algorithms stay
 as oracles for the negative-n case: generic series inversion of the
 generating product f_{|n|} expanded at zero (series route) and the
 restricted-partition sum over closed-form classic binomials (partition
-route).  The partition sum takes one exact product per nonzero digit,
-by the digit's weight series packed into one integer (Kronecker
-substitution, in digits' packed format); it never divides by
-1 + x^(b^l).  The routes share nothing past the digit expansion, which
-is what makes the cross-oracle sweeps meaningful.
+route).  The partition sum is built from the top digit down, one
+exact product of packed integers (Kronecker substitution, in digits'
+packed format) per residue class mod b of each level; it never
+divides by 1 + x^(b^l).  The routes share nothing past the digit
+expansion, which is what makes the cross-oracle sweeps meaningful.
 f_{|n|} is palindromic, so each route builds one table per (n, b), and
 row reads values off it: entry r = k for k >= 0, r = n - k for k <= n.
 
@@ -193,26 +193,28 @@ def partition_value_table(n: int, base: int, limit: int) -> tuple[int, ...]:
 
 def _value_table(n: int, base: int, size: int) -> tuple[int, ...]:
     # The partition sum prod_l W_l(x^(b^l)), W_l(y) = sum_i classic_binom(n_l,
-    # i) y^i, as one exact product per nonzero digit, from the top level
-    # down.  Before level l, table holds the product of the levels above
-    # as a series in y = x^(b^l), over the slots whose power of x is below
-    # size; the level multiplies it by W_l packed over those slots, masks
-    # it to them, and spreads the slots to stride b for the level below.
-    # Levels at b^l >= size, and zero digits, weigh 1.  Every partial
-    # product is 1/f of a part of |n|, so its entries, like the weights,
-    # fit one signed slot width w (_slot_width).
-    w, table = _slot_width(n, base, size), 1
-    for d, slots in _levels(n, base, size):
-        if d:
-            table = table * digits.pack(classic_row(d, range(slots)), w) & ((1 << w * slots) - 1)
-        if slots < size:  # every level but l = 0
-            table = digits.pack(digits.unpack(table, w, slots), w, base)
-    return tuple(digits.unpack(table, w, size))
+    # i) y^i, from the top level down: the top level's weights are its
+    # table, and each level below is P(y) = W_l(y) Q(y^b) for the table Q
+    # above, so P's residue class r is Q times W_l's weights at r, r + b,
+    # ...: Q packed once, then one exact product per residue.  A zero digit
+    # weighs [1], a copy of Q into residue 0.  Every partial product is 1/f
+    # of a part of |n|, so its entries, like the weights, fit one signed
+    # slot width w (_slot_width); residue r's low slots are entries of P.
+    w = _slot_width(n, base, size)
+    (d, slots), *lower = _levels(n, base, size)
+    table = classic_row(d, range(slots))
+    for d, slots in lower:
+        weights, upper = classic_row(d, range(slots if d else 1)), digits.pack(table, w)
+        table = [0] * slots
+        for r in range(min(base, len(weights))):
+            product = upper * digits.pack(weights[r::base], w)
+            table[r::base] = digits.unpack(product, w, len(range(r, slots, base)))
+    return tuple(table)
 
 
 def _levels(n: int, base: int, size: int) -> list[tuple[int, int]]:
     # (n_l, the slots of y = x^(b^l) below x^size) for each level l with
-    # b^l < size, top first: the levels _value_table multiplies and spreads
+    # b^l < size, top first: the levels _value_table builds its table from
     ds = to_digits(n, base)
     top = min(len(ds), len(to_digits(size - 1, base)))
     return [(ds[l], (size - 1) // base**l + 1) for l in reversed(range(top))]
@@ -229,21 +231,27 @@ def _slot_width(n: int, base: int, size: int) -> int:
 
 def _partition_cost(n: int, base: int, size: int) -> int:
     # The build's math.comb for the slot width is charged first, since the
-    # rest depends on w.  Then per level: its weights (classic_cost each),
-    # its slots packed, spread and decoded (digits.pack_cost), and its
-    # product of two ints of w bits a slot (digits.product_cost), save the
-    # top nonzero level's, which multiplies 1.
+    # rest depends on w.  Then the top level's weights and a lower nonzero
+    # digit's, an uncached call each at one step more than classic_cost of
+    # the middle one (about their mean); the table above and a level's
+    # weights packed and every slot decoded (digits.pack_cost); and per
+    # residue 16 steps of setup and one product of ints of w bits a slot
+    # (digits.product_cost).  A lower zero digit's level is a copy: a pass
+    # over its slots and the table above packed and decoded.
     s = -digit_sum(n, base)
     digits.charge(classic_cost(s + size - 2, min(s, size) - 1))
     w = _slot_width(n, base, size)
-    steps, products = digits.pack_cost(size, w), []
-    for d, slots in _levels(n, base, size):
-        if d:
-            steps += digits.pack_cost(slots, w) + slots * classic_cost(d, slots - 1)
-            products.append(digits.product_cost(w * slots, w * slots))
-        if slots < size:
-            steps += digits.pack_cost(slots, w)
-    return steps + sum(products[1:])
+    (d, slots), *lower = _levels(n, base, size)
+    steps = slots * (1 + classic_cost(d, slots // 2))
+    for d, slots in lower:
+        upper = (slots - 1) // base + 1
+        if not d:
+            steps += 16 + slots + digits.pack_cost(2 * upper, w)
+            continue
+        steps += slots * (1 + classic_cost(d, slots // 2)) + digits.pack_cost(upper + 2 * slots, w)
+        for r in range(min(base, slots)):
+            steps += 16 + digits.product_cost(w * upper, w * len(range(r, slots, base)))
+    return steps
 
 
 def series_table(n: int, base: int, limit: int) -> tuple[int, ...]:

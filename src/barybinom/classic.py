@@ -7,7 +7,7 @@ binomial coefficients, so the function is total and exact.
 
 Values are cached in an lru_cache of CACHE_SIZE entries: enough for
 the digit-sized keys the sweeps share (one `verify --suite all` ends
-with about 2,100), and a bound for any other caller.  A long or
+with 455), and a bound for any other caller.  A long or
 one-off run of keys, such as the lucas grid or a partition table's
 weights, is read past the cache by classic_row.  classic_cost is the
 step count a caller charges to the step meter (digits.Meter) for a run
@@ -39,9 +39,9 @@ def classic_binom(n: int, k: int) -> int:
             return comb(n, k)
         return 0
     if k >= 0:
-        return (-1) ** (k & 1) * comb(-n + k - 1, k)
+        return -comb(-n + k - 1, k) if k & 1 else comb(-n + k - 1, k)
     if k <= n:
-        return (-1) ** ((n - k) & 1) * comb(-k - 1, n - k)
+        return -comb(-k - 1, n - k) if (n - k) & 1 else comb(-k - 1, n - k)
     return 0
 
 

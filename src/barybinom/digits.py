@@ -8,8 +8,8 @@ gives S_b(j) for a whole range of j, built one digit level at a time.
 Beside MAX_TERMS, the bound on memory, sits the step meter, on time,
 with product_cost, its one rule for a big-integer product.  Beside that
 sits the one packed-polynomial format the partition oracle and the chu
-sweeps multiply in (Kronecker substitution): pack and unpack, with
-slot_width and pack_cost.
+sweeps multiply in (Kronecker substitution): pack and unpack, a slot
+per coefficient, with slot_width and pack_cost.
 """
 
 from __future__ import annotations
@@ -67,16 +67,15 @@ def slot_width(bound: int) -> int:
     return (bound.bit_length() + 8) // 8 * 8
 
 
-def pack(c: Sequence[int], w: int, stride: int = 1) -> int:
-    """The polynomial with c[i] at x^(i * stride), at x = 2**w: each slot
-    is w // 8 little-endian bytes biased by 2**(w-1), so packing is
-    linear in the slots.  While every coefficient fits a signed slot, the
-    product of two packed lists is their packed product, and two agree in
-    slots 0..size-1 exactly when they agree modulo 2**(w*size)."""
+def pack(c: Sequence[int], w: int) -> int:
+    """The polynomial with coefficients c at x = 2**w: each slot is w // 8
+    little-endian bytes biased by 2**(w-1), so packing is linear in the
+    slots.  While every coefficient fits a signed slot, the product of two
+    packed lists is their packed product, and two agree in slots
+    0..size-1 exactly when they agree modulo 2**(w*size)."""
     half, width = 1 << (w - 1), w // 8
-    gap = bytes(width * (stride - 1))
-    data = gap.join([(x + half).to_bytes(width, "little") for x in c])
-    bias = gap.join([half.to_bytes(width, "little")] * len(c))  # half in every slot
+    data = b"".join([(x + half).to_bytes(width, "little") for x in c])
+    bias = half.to_bytes(width, "little") * len(c)  # half in every slot
     return int.from_bytes(data, "little") - int.from_bytes(bias, "little")
 
 

@@ -154,6 +154,8 @@ def gf_expand(n: int, b: int, point: ExpansionPoint, order: int) -> LaurentSerie
     stored from lead -n: -|n| for n >= 0, and |n| (coefficient +1 at
     x^-|n|) for n < 0.
     """
+    if not isinstance(point, ExpansionPoint):
+        raise ValueError(f"point must be an ExpansionPoint, got {point!r}")
     _check_expansion(b, order)
     lead = 0 if point is ExpansionPoint.AT_ZERO else -n
     if n < 0:

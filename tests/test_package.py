@@ -11,16 +11,14 @@ EXPORTED = {
     "gf_expand",
     "ExpansionPoint",
     "LaurentSeries",
-    "series_mul",
     "series_inverse",
-    "coefficient",
     "enumerate_partitions",
     "enumerate_restricted",
 }
 
 
 def test_the_package_exports_exactly_the_documented_names():
-    assert len(barybinom.__all__) == len(EXPORTED) == 15
+    assert len(barybinom.__all__) == len(EXPORTED) == 13
     assert set(barybinom.__all__) == EXPORTED
 
 

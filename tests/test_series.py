@@ -188,6 +188,12 @@ def test_gf_expand_validates_arguments():
         gf_expand(3, 1, ZERO, 4)
     with pytest.raises(ValueError):
         gf_expand(3, 2, ZERO, 0)
+    # a point that is not an ExpansionPoint: "zero" once returned the
+    # infinity reading (lead -n, descending terms)
+    for point in ("zero", "infinity", None, 0):
+        for n in (5, -5):
+            with pytest.raises(ValueError, match="ExpansionPoint"):
+                gf_expand(n, 2, point, 8)
 
 
 @given(units, tails, points, leads)
